@@ -8,12 +8,11 @@ error, 3 numerical error, 4 property failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -26,7 +25,9 @@ from .errors import (
     ValidationError,
 )
 
-EXPERIMENTS = ("single-qubit", "two-qubit", "three-qubit-heisenberg", "custom")
+# experiment name -> qubit count (None: read config.n_qubits); every experiment
+# has 3 parameters per qubit and, on more than one qubit, a CNOT ring w -> w + 1
+EXPERIMENTS = {"single-qubit": 1, "two-qubit": 2, "three-qubit-heisenberg": 3, "custom": None}
 CSV_HEADER = "step,cost,grad_norm,metric_cond"
 SEED_ENV = "QNGM_SEED"
 
@@ -60,9 +61,7 @@ class ExperimentConfig:
     n_qubits: int = 1
 
 
-_FLOAT_KEYS = ("epsilon", "eta", "delta", "xi", "rank_tol", "grad_tol", "omega", "coupling")
-_INT_KEYS = ("steps", "seed", "n_qubits")
-_STR_KEYS = ("experiment", "metric", "rule", "out")
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_bool(text: str) -> bool:
@@ -91,28 +90,25 @@ def _parse_bloch(text: str) -> Tuple[Tuple[float, float, float], ...]:
     return tuple(out)
 
 
+_PARSERS = {
+    str: str.strip,
+    bool: _parse_bool,
+    Optional[Tuple[float, ...]]: _parse_floats,
+    Optional[Tuple[Tuple[float, float, float], ...]]: _parse_bloch,
+}
+
+
 def _coerce(key: str, value: str):
-    if key in _FLOAT_KEYS:
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ParseError(f"unknown config key {key!r}")
+    if kind in (float, int):
         try:
-            return float(value)
+            return kind(value)
         except ValueError:
-            raise ParseError(f"flag {key!r}: expected a number, got {value!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ParseError(f"flag {key!r}: expected an integer, got {value!r}") from None
-    if key == "diagonal":
-        return _parse_bool(value)
-    if key == "sweep_alpha":
-        return _parse_floats(value)
-    if key in ("theta0", "theta_star"):
-        return _parse_floats(value)
-    if key == "bloch":
-        return _parse_bloch(value)
-    if key in _STR_KEYS:
-        return value.strip()
-    raise ParseError(f"unknown config key {key!r}")
+            noun = "a number" if kind is float else "an integer"
+            raise ParseError(f"flag {key!r}: expected {noun}, got {value!r}") from None
+    return _PARSERS[kind](value)
 
 
 def _read_config_file(path: str) -> dict:
@@ -136,31 +132,13 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def n_params_for(config: ExperimentConfig) -> int:
-    return {
-        "single-qubit": 3,
-        "two-qubit": 6,
-        "three-qubit-heisenberg": 9,
-        "custom": 3 * config.n_qubits,
-    }[config.experiment]
-
-
-def _n_qubits_for(config: ExperimentConfig) -> int:
-    return {
-        "single-qubit": 1,
-        "two-qubit": 2,
-        "three-qubit-heisenberg": 3,
-        "custom": config.n_qubits,
-    }[config.experiment]
-
-
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check all invariants at once; raises ValidationError listing every violation."""
     problems: List[str] = []
     if config.experiment not in EXPERIMENTS:
-        problems.append(f"experiment {config.experiment!r} not in {EXPERIMENTS}")
-    if config.rule not in ("trust", "lr"):
-        problems.append(f"rule {config.rule!r} must be 'trust' or 'lr'")
+        problems.append(f"experiment {config.experiment!r} not in {tuple(EXPERIMENTS)}")
+    if config.rule not in optimizer.RULES:
+        problems.append(f"rule {config.rule!r} must be " + " or ".join(map(repr, optimizer.RULES)))
     for name, value in (("delta", config.delta), ("xi", config.xi)):
         if not 0.0 <= value < 1.0:
             problems.append(f"{name} = {value} outside [0, 1)")
@@ -177,15 +155,20 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         petz.parse(config.metric)
     except ParseError as exc:
         problems.append(str(exc))
+    if config.sweep_alpha and len(set(config.sweep_alpha)) < len(config.sweep_alpha):
+        problems.append(f"sweep_alpha {config.sweep_alpha} lists an alpha twice")
+    for name in ("theta0", "theta_star", "bloch"):
+        vec = getattr(config, name)
+        if vec is not None and not np.all(np.isfinite(vec)):
+            problems.append(f"{name} has a non-finite entry")
     if config.experiment in EXPERIMENTS:
-        n_qubits = _n_qubits_for(config)
+        n_qubits = EXPERIMENTS[config.experiment] or config.n_qubits
         if not 1 <= n_qubits <= 4:
             problems.append(f"n_qubits = {n_qubits} outside [1, 4]")
         else:
-            n_params = n_params_for(config)
             for name, vec in (("theta0", config.theta0), ("theta_star", config.theta_star)):
-                if vec is not None and len(vec) != n_params:
-                    problems.append(f"{name} has {len(vec)} entries, expected {n_params}")
+                if vec is not None and len(vec) != 3 * n_qubits:
+                    problems.append(f"{name} has {len(vec)} entries, expected {3 * n_qubits}")
             if config.bloch is not None:
                 if len(config.bloch) != n_qubits:
                     problems.append(
@@ -199,18 +182,26 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
+def _env_seed() -> int:
+    """The seed from QNGM_SEED, or 0 when it is unset or empty."""
+    text = os.environ.get(SEED_ENV)
+    if not text:
+        return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{SEED_ENV} = {text!r} is not an integer") from None
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> ExperimentConfig:
     """Build a validated config from an optional file plus overriding values."""
     values = _read_config_file(path) if path else {}
     for key, value in (overrides or {}).items():
         if value is not None:
             values[key] = value
-    if "seed" not in values and os.environ.get(SEED_ENV):
-        try:
-            values["seed"] = int(os.environ[SEED_ENV])
-        except ValueError:
-            raise ParseError(f"{SEED_ENV} = {os.environ[SEED_ENV]!r} is not an integer") from None
-    unknown = set(values) - set(ExperimentConfig.__dataclass_fields__)
+    if "seed" not in values:
+        values["seed"] = _env_seed()
+    unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ParseError(f"unknown config keys: {sorted(unknown)}")
     return validate_config(ExperimentConfig(**values))
@@ -232,8 +223,7 @@ def _ring_hamiltonian(n: int, omega: float, coupling: float) -> np.ndarray:
 
 def build_experiment(config: ExperimentConfig):
     """Instantiate (circuit, cost, theta0) for the configured experiment."""
-    n = _n_qubits_for(config)
-    n_params = n_params_for(config)
+    n = EXPERIMENTS[config.experiment] or config.n_qubits
     bloch = config.bloch or tuple((0.5, 0.0, 0.0) for _ in range(n))
     initial = np.array([[1.0]], dtype=complex)
     for vec in bloch:
@@ -242,17 +232,9 @@ def build_experiment(config: ExperimentConfig):
     gates: List[states.Gate] = []
     for w in range(n):
         gates.extend(states.r3_gates(w, 3 * w))
-    if config.experiment == "two-qubit":
-        gates += [states.Gate("cnot", 0, target=1), states.Gate("cnot", 1, target=0)]
-    elif config.experiment == "three-qubit-heisenberg":
-        gates += [
-            states.Gate("cnot", 0, target=1),
-            states.Gate("cnot", 1, target=2),
-            states.Gate("cnot", 2, target=0),
-        ]
-    elif config.experiment == "custom" and n > 1:
+    if n > 1:
         gates += [states.Gate("cnot", w, target=(w + 1) % n) for w in range(n)]
-    circuit = states.CircuitState(n, initial, tuple(gates), n_params)
+    circuit = states.CircuitState(n, initial, tuple(gates), 3 * n)
 
     theta0 = np.array(config.theta0 if config.theta0 else [np.pi / 2, np.pi / 2, np.pi / 4] * n)
     if config.experiment == "two-qubit":
@@ -263,7 +245,7 @@ def build_experiment(config: ExperimentConfig):
     elif config.experiment == "three-qubit-heisenberg":
         cost = optimizer.Observable(_ring_hamiltonian(3, config.omega, config.coupling))
     else:
-        target = np.array(config.theta_star if config.theta_star else [0.0] * n_params)
+        target = np.array(config.theta_star if config.theta_star else [0.0] * 3 * n)
         cost = optimizer.StateDistance(target)
     return circuit, cost, theta0
 
@@ -276,7 +258,7 @@ def write_csv(path: str, trajectory: optimizer.Trajectory) -> None:
         fh.write("\n".join(rows) + "\n")
 
 
-def _run_single(config: ExperimentConfig, metric_spec: str, out_path: str) -> str:
+def _run_single(config: ExperimentConfig, metric_spec: str) -> optimizer.Trajectory:
     circuit, cost, theta0 = build_experiment(config)
     traj = optimizer.run(
         circuit,
@@ -295,59 +277,48 @@ def _run_single(config: ExperimentConfig, metric_spec: str, out_path: str) -> st
     )
     if traj.error is not None:
         raise NumericalError(f"run aborted after {len(traj.records)} records: {traj.error}")
-    write_csv(out_path, traj)
-    return (
-        f"{metric_spec}: final cost {traj.final_cost:.6e} "
-        f"after {traj.records[-1].step} steps -> {out_path}"
-    )
+    return traj
 
 
 def run_experiment(config: ExperimentConfig) -> List[str]:
-    """Run one experiment (or an alpha sweep) and write CSV trajectories."""
+    """Run one experiment (or an alpha sweep) and write CSV trajectories.
+
+    A sweep runs its alphas in sequence and writes no CSV unless every
+    alpha finishes.
+    """
     started = time.perf_counter()
     if config.sweep_alpha:
-        os.makedirs(config.out or ".", exist_ok=True)
+        out_dir = config.out or "."
+        os.makedirs(out_dir, exist_ok=True)
         jobs = []
         for alpha in config.sweep_alpha:
-            spec = f"sw:{alpha:g}"
-            name = f"sw_alpha_{alpha:g}.csv".replace("-", "m")
-            jobs.append((spec, os.path.join(config.out or ".", name)))
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(len(jobs), os.cpu_count() or 1)
-        ) as pool:
-            futures = [pool.submit(_run_single, config, spec, path) for spec, path in jobs]
-            summaries = [f.result() for f in futures]
-        paths = [path for _, path in jobs]
+            text = petz.alpha_text(alpha)
+            name = f"sw_alpha_{text}.csv".replace("-", "m")
+            jobs.append((f"sw:{text}", os.path.join(out_dir, name)))
     else:
-        summaries = [_run_single(config, config.metric, config.out)]
-        paths = [config.out]
+        jobs = [(config.metric, config.out)]
+    trajectories = [_run_single(config, spec) for spec, _ in jobs]
+    for (_, path), traj in zip(jobs, trajectories):
+        write_csv(path, traj)
     elapsed = time.perf_counter() - started
-    for line in summaries:
-        print(line)
+    for (spec, path), traj in zip(jobs, trajectories):
+        print(
+            f"{spec}: final cost {traj.final_cost:.6e} "
+            f"after {traj.records[-1].step} steps -> {path}"
+        )
     print(f"wall time {elapsed:.3f} s")
-    return paths
+    return [path for _, path in jobs]
 
 
 def _property_lines(seed: int, samples: int) -> List[Tuple[str, bool, str]]:
     grid = petz.default_grid()
     checks: List[Tuple[str, bool, str]] = []
 
-    registry = {
-        "sld": petz.SLD,
-        "bkm": petz.BKM,
-        "rrld": petz.RRLD,
-        "half": petz.HALF,
-        "sw:0.1": petz.sandwiched(0.1),
-        "sw:0.25": petz.sandwiched(0.25),
-        "sw:2": petz.sandwiched(2.0),
-        "sw:-1": petz.sandwiched(-1.0),
-        "st:0.5": petz.standard(0.5),
-        "st:3": petz.standard(3.0),
-        "lin:0.3:rrld:sld": petz.linear(0.3, petz.RRLD, petz.SLD),
-        "sw:0+": petz.ZERO_PLUS,
-        "sw:0-": petz.ZERO_MINUS,
-        "sw:inf": petz.INFINITY,
-    }
+    specs = (
+        "sld", "bkm", "rrld", "half", "sw:0.1", "sw:0.25", "sw:2", "sw:-1",
+        "st:0.5", "st:3", "lin:0.3:rrld:sld", "sw:0+", "sw:0-", "sw:inf",
+    )  # fmt: skip
+    registry = {spec: petz.parse(spec) for spec in specs}
     worst = 0.0
     for fn in registry.values():
         report = petz.check_conditions(fn, grid)
@@ -458,33 +429,25 @@ def run_properties(seed: int, samples: int) -> Tuple[str, bool]:
     return "\n".join(lines), all_ok
 
 
+_HELP = {
+    "metric": "petz spec, e.g. sld or sw:0.25",
+    "out": "CSV path (directory for sweeps)",
+    "sweep_alpha": "comma-separated alphas; runs sw:<alpha> for each",
+    "theta0": "comma-separated initial parameters",
+    "bloch": "per-qubit x,y,z triples joined by ';'",
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per ExperimentConfig field; values stay text until _coerce."""
     parser.add_argument("--config", default=None, help="flat key = value config file")
-    parser.add_argument("--experiment", choices=EXPERIMENTS, default=None)
-    parser.add_argument("--metric", default=None, help="petz spec, e.g. sld or sw:0.25")
-    parser.add_argument("--rule", choices=("trust", "lr"), default=None)
-    parser.add_argument("--epsilon", type=float, default=None)
-    parser.add_argument("--eta", type=float, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--xi", type=float, default=None)
-    parser.add_argument("--rank-tol", dest="rank_tol", type=float, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--grad-tol", dest="grad_tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--diagonal", action="store_const", const=True, default=None)
-    parser.add_argument("--out", default=None, help="CSV path (directory for sweeps)")
-    parser.add_argument(
-        "--sweep-alpha",
-        dest="sweep_alpha",
-        default=None,
-        help="comma-separated alphas; runs sw:<alpha> for each",
-    )
-    parser.add_argument("--theta0", default=None, help="comma-separated initial parameters")
-    parser.add_argument("--theta-star", dest="theta_star", default=None)
-    parser.add_argument("--bloch", default=None, help="per-qubit x,y,z triples joined by ';'")
-    parser.add_argument("--omega", type=float, default=None)
-    parser.add_argument("--coupling", type=float, default=None)
-    parser.add_argument("--n-qubits", dest="n_qubits", type=int, default=None)
+    choices = {"experiment": tuple(EXPERIMENTS), "rule": optimizer.RULES}
+    for key, kind in _FIELD_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            parser.add_argument(flag, action="store_const", const="true", help=_HELP.get(key))
+        else:
+            parser.add_argument(flag, choices=choices.get(key), help=_HELP.get(key))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -502,19 +465,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command == "run":
             overrides = {
-                key: getattr(args, key)
-                for key in ExperimentConfig.__dataclass_fields__
-                if hasattr(args, key)
+                key: _coerce(key, getattr(args, key))
+                for key in _FIELD_TYPES
+                if getattr(args, key) is not None
             }
-            for key in ("sweep_alpha", "theta0", "theta_star", "bloch"):
-                if overrides.get(key) is not None:
-                    overrides[key] = _coerce(key, overrides[key])
             config = load_config(args.config, overrides)
             run_experiment(config)
             return EXIT_OK
-        seed = args.seed
-        if seed is None:
-            seed = int(os.environ.get(SEED_ENV, "0") or "0")
+        seed = args.seed if args.seed is not None else _env_seed()
         report, ok = run_properties(seed, args.samples)
         print(report)
         return EXIT_OK if ok else EXIT_PROPERTY

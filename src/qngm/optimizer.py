@@ -18,10 +18,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import petz, qfim, states
-from .errors import QngmError, ShapeMismatchError
+from .errors import NumericalError, QngmError, ShapeMismatchError
 from .linalg import condition_number, solve_sym
 
 GRAD_ZERO = 1e-10
+RULES = ("trust", "lr")
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ class Trajectory:
 
     @property
     def final_cost(self) -> float:
+        if not self.records:
+            raise NumericalError(f"trajectory has no records (error: {self.error})")
         return self.records[-1].cost
 
     def costs(self) -> np.ndarray:
@@ -128,7 +131,7 @@ def run(
     Any package error aborts the run and is reported on the trajectory's
     ``error`` tag together with the records accumulated so far.
     """
-    if rule not in ("lr", "trust"):
+    if rule not in RULES:
         raise ValueError(f"unknown update rule {rule!r}")
     theta = np.asarray(theta0, dtype=float).copy()
     traj = Trajectory()
@@ -142,6 +145,8 @@ def run(
                 G = qfim.diagonal(G)
             G = qfim.regularize_metric(G, xi)
             value, grad = cost_and_gradient(cost, state, theta)
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                raise NumericalError(f"non-finite cost or gradient at step {step}")
             grad_norm = float(np.linalg.norm(grad))
             traj.records.append(
                 TrajectoryRecord(step, theta.copy(), value, grad_norm, condition_number(G))

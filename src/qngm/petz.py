@@ -33,8 +33,6 @@ from .errors import DomainError, ParseError
 TAYLOR_WINDOW = 1e-6
 ALPHA_EPS = 1e-6
 
-_NAMED = ("sld", "bkm", "rrld", "half", "sw0+", "sw0-", "swinf")
-
 
 @dataclass(frozen=True)
 class PetzFunction:
@@ -79,8 +77,20 @@ def standard(alpha: float) -> PetzFunction:
 
 
 def linear(alpha: float, f1: PetzFunction, f2: PetzFunction) -> PetzFunction:
-    """Affine combination (1 - alpha) f1 + alpha f2; a Petz function for any alpha."""
-    return PetzFunction("lin", alpha=float(alpha), left=f1, right=f2)
+    """Affine combination (1 - alpha) f1 + alpha f2.
+
+    It keeps f(1) = 1 and f(t) = t f(1/t) for any alpha, but stays positive
+    only for some: always for alpha in [0, 1], outside it only when f1 and f2
+    allow.  Raises DomainError, naming the spec, when f(0) < 0 or f <= 0
+    somewhere on ``default_grid()``.
+    """
+    f = PetzFunction("lin", alpha=float(alpha), left=f1, right=f2)
+    zero, lowest = eval_zero(f), float(np.min(evaluate(f, default_grid())))
+    if not (zero >= 0.0 and lowest > 0.0):
+        raise DomainError(
+            f"{to_spec(f)} is not a Petz function: f(0) = {zero:g}, min f on grid = {lowest:g}"
+        )
+    return f
 
 
 def _taylor(t):
@@ -337,6 +347,12 @@ def parse(text: str) -> PetzFunction:
     return result
 
 
+def alpha_text(alpha: float) -> str:
+    """Shortest text that parses back to the same float, without a trailing '.0'."""
+    text = repr(float(alpha))
+    return text[:-2] if text.endswith(".0") else text
+
+
 def to_spec(f: PetzFunction) -> str:
     """Inverse of parse (canonical form)."""
     if f.kind in ("sld", "bkm", "rrld", "half"):
@@ -348,9 +364,9 @@ def to_spec(f: PetzFunction) -> str:
     if f.kind == "swinf":
         return "sw:inf"
     if f.kind == "sw":
-        return f"sw:{f.alpha:g}"
+        return f"sw:{alpha_text(f.alpha)}"
     if f.kind == "st":
-        return f"st:{f.alpha:g}"
+        return f"st:{alpha_text(f.alpha)}"
     if f.kind == "lin":
-        return f"lin:{f.alpha:g}:{to_spec(f.left)}:{to_spec(f.right)}"
+        return f"lin:{alpha_text(f.alpha)}:{to_spec(f.left)}:{to_spec(f.right)}"
     raise ValueError(f.kind)

@@ -146,10 +146,8 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray, tangents: Sequen
     return rho_out, pushed
 
 
-def depolarizing_kraus(p: float, n_qubits: int = 1) -> List[np.ndarray]:
+def depolarizing_kraus(p: float) -> List[np.ndarray]:
     """Single-qubit depolarizing channel with mixing probability p."""
-    if n_qubits != 1:
-        raise ShapeMismatchError("only the single-qubit depolarizing channel is provided")
     return [
         np.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex),
         np.sqrt(p / 4.0) * SIGMA_X,

@@ -8,6 +8,7 @@ tensor factor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -32,10 +33,7 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
 
 def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
     """Pauli operator on one wire, identity elsewhere."""
-    op = np.array([[1.0]], dtype=complex)
-    for w in range(n_qubits):
-        op = np.kron(op, PAULI[which] if w == wire else np.eye(2, dtype=complex))
-    return op
+    return _embed(n_qubits, wire, PAULI[which])
 
 
 def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
@@ -98,15 +96,13 @@ def _embed(n_qubits: int, wire: int, u2: np.ndarray) -> np.ndarray:
     return op
 
 
+@functools.lru_cache(maxsize=None)
 def _cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
-    dim = 2**n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for basis in range(dim):
-        bits = [(basis >> (n_qubits - 1 - w)) & 1 for w in range(n_qubits)]
-        if bits[control]:
-            bits[target] ^= 1
-        out = sum(b << (n_qubits - 1 - w) for w, b in enumerate(bits))
-        u[out, basis] = 1.0
+    """P0(control) + P1(control) X(target); cached, so returned read-only."""
+    p0 = _embed(n_qubits, control, np.diag([1.0, 0.0]).astype(complex))
+    p1 = _embed(n_qubits, control, np.diag([0.0, 1.0]).astype(complex))
+    u = p0 + p1 @ _embed(n_qubits, target, SIGMA_X)
+    u.setflags(write=False)
     return u
 
 

@@ -148,3 +148,101 @@ def test_custom_experiment_runs(tmp_path):
         }
     )
     assert cli.run_experiment(config) == [str(tmp_path / "custom.csv")]
+
+
+def test_custom_builds_the_builtin_gates():
+    for n, name in ((2, "two-qubit"), (3, "three-qubit-heisenberg")):
+        custom, _, _ = cli.build_experiment(cli.ExperimentConfig(experiment="custom", n_qubits=n))
+        builtin, _, _ = cli.build_experiment(cli.ExperimentConfig(experiment=name))
+        assert custom.gates == builtin.gates
+        assert custom.n_params == builtin.n_params == 3 * n
+
+
+# a valid value other than the default for every ExperimentConfig field
+FIELD_VALUES = {
+    "experiment": "two-qubit",
+    "metric": "bkm",
+    "rule": "lr",
+    "epsilon": "2e-6",
+    "eta": "0.002",
+    "delta": "0.01",
+    "xi": "0.02",
+    "rank_tol": "1e-8",
+    "steps": "7",
+    "grad_tol": "1e-9",
+    "seed": "3",
+    "diagonal": "true",
+    "out": "elsewhere.csv",
+    "sweep_alpha": "0.1,0.2",
+    "theta0": "0.1,0.2,0.3",
+    "theta_star": "0.3,0.2,0.1",
+    "bloch": "0,0,1",
+    "omega": "2",
+    "coupling": "0.5",
+    "n_qubits": "2",
+}
+
+
+def test_every_field_is_a_flag_and_a_config_key(tmp_path, monkeypatch, capsys):
+    assert set(FIELD_VALUES) == set(cli.ExperimentConfig.__dataclass_fields__)
+    with pytest.raises(SystemExit):
+        cli.main(["run", "--help"])
+    usage = capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", seen.append)
+    default = cli.ExperimentConfig()
+    for key, text in FIELD_VALUES.items():
+        flag = "--" + key.replace("_", "-")
+        assert flag in usage
+        argv = ["run", flag] if key == "diagonal" else ["run", flag, text]
+        assert cli.main(argv) == 0
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert cli.main(["run", "--config", str(path)]) == 0
+        by_flag, by_file = seen[-2:]
+        assert by_flag == by_file
+        assert getattr(by_flag, key) != getattr(default, key), key
+
+
+def test_bad_flag_value_is_a_config_error(tmp_path):
+    assert cli.main(["run", "--xi", "abc", "--out", str(tmp_path / "no.csv")]) == 2
+    assert cli.main(["run", "--steps", "1.5", "--out", str(tmp_path / "no.csv")]) == 2
+
+
+def test_bad_inputs_fail_before_running(tmp_path):
+    out = str(tmp_path / "no.csv")
+    for flags in (
+        ["--theta0", "nan,0,0"],
+        ["--theta-star", "0,inf,0"],
+        ["--bloch", "nan,0,0"],
+        ["--metric", "lin:5:sld:rrld"],
+        ["--sweep-alpha", "0.3,0.5,0.3"],
+    ):
+        assert cli.main(["run", *flags, "--steps", "3", "--out", out]) == 2, flags
+    assert not os.path.exists(out)
+
+
+def test_sweep_file_names_keep_every_digit(tmp_path):
+    config = cli.load_config(
+        overrides={"steps": 2, "sweep_alpha": (0.1234567, 0.12345671), "out": str(tmp_path)}
+    )
+    paths = cli.run_experiment(config)
+    assert [os.path.basename(p) for p in paths] == [
+        "sw_alpha_0.1234567.csv",
+        "sw_alpha_0.12345671.csv",
+    ]
+    assert all(os.path.exists(p) for p in paths)
+
+
+def test_failed_sweep_writes_no_csv(tmp_path):
+    # sw:0.25 runs on the pure state (f(0) > 0); sw:2 aborts (f(0) = 0)
+    outdir = tmp_path / "sweep"
+    argv = ["run", "--bloch", "1,0,0", "--delta", "0", "--steps", "5"]
+    code = cli.main(argv + ["--sweep-alpha", "0.25,2", "--out", str(outdir)])
+    assert code == 3
+    assert os.listdir(outdir) == []
+
+
+def test_properties_bad_seed_env_is_a_config_error(monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV, "abc")
+    assert cli.main(["properties", "--samples", "5"]) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qngm import cli, optimizer, petz, qfim, states
+from qngm.errors import NumericalError
 from qngm.linalg import solve_sym
 
 
@@ -161,3 +162,17 @@ def test_trajectory_records_monotone_steps():
     steps = [r.step for r in traj.records]
     assert steps == list(range(len(steps)))
     assert all(r.metric_cond >= 1.0 for r in traj.records)
+
+
+def test_final_cost_of_empty_trajectory():
+    with pytest.raises(NumericalError):
+        optimizer.Trajectory().final_cost
+
+
+def test_non_finite_cost_aborts_naming_the_step():
+    circuit, _, theta0 = experiment()
+    cost = optimizer.Observable(np.diag([np.inf, 0.0]).astype(complex))
+    with np.errstate(invalid="ignore"):
+        traj = optimizer.run(circuit, cost, petz.SLD, theta0, max_steps=5)
+    assert traj.records == []
+    assert traj.error.startswith("NumericalError") and "step 0" in traj.error

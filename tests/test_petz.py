@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qngm import petz
 from qngm.errors import DomainError, ParseError
@@ -228,3 +230,46 @@ def test_parse_errors():
     for text in ("", "sw", "sw:0", "sw:zzz", "lin:0.5:rrld", "foo", "sld:1", "st:"):
         with pytest.raises(ParseError):
             petz.parse(text)
+
+
+def test_linear_rejects_non_positive_combinations():
+    # f(0) = -2 and f(100) = -192: not a Petz function, so not a metric
+    with pytest.raises(DomainError, match="lin:5:sld:rrld"):
+        petz.linear(5.0, petz.SLD, petz.RRLD)
+    with pytest.raises(ParseError, match="lin:5:sld:rrld"):
+        petz.parse("lin:5:sld:rrld")
+    # positive although its weight lies outside [0, 1]; minimum about 0.9
+    designed = petz.parse("lin:3:rrld:sld")
+    assert 0.85 < petz.evaluate(designed, GRID).min() < 1.0
+
+
+def test_to_spec_prints_alpha_exactly():
+    a, b = petz.sandwiched(0.1234567), petz.sandwiched(0.12345671)
+    assert petz.to_spec(a) == "sw:0.1234567" and petz.to_spec(b) == "sw:0.12345671"
+    assert petz.parse(petz.to_spec(b)) == b
+    assert petz.to_spec(petz.linear(0.1 + 0.2, petz.RRLD, petz.SLD)) == (
+        "lin:0.30000000000000004:rrld:sld"
+    )
+
+
+def _alpha(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from(
+        [petz.SLD, petz.BKM, petz.RRLD, petz.HALF, petz.ZERO_PLUS, petz.ZERO_MINUS, petz.INFINITY]
+    ),
+    _alpha(-10.0, 10.0).filter(lambda a: abs(a) >= petz.ALPHA_EPS).map(petz.sandwiched),
+    _alpha(-10.0, 10.0).map(petz.standard),
+)
+_FUNCTIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.builds(petz.linear, _alpha(0.0, 1.0), inner, inner),
+    max_leaves=4,
+)
+
+
+@given(_FUNCTIONS)
+def test_parse_inverts_to_spec(f):
+    assert petz.parse(petz.to_spec(f)) == f

@@ -116,6 +116,29 @@ def test_cnot_matrix():
         [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
     )
     np.testing.assert_allclose(u, expected)
+    # bit for bit the matrix of the per-basis-state bit loop, on every wire pair
+    for n in (2, 3, 4):
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                ref = np.zeros((2**n, 2**n), dtype=complex)
+                for basis in range(2**n):
+                    bits = [(basis >> (n - 1 - w)) & 1 for w in range(n)]
+                    if bits[control]:
+                        bits[target] ^= 1
+                    ref[sum(b << (n - 1 - w) for w, b in enumerate(bits)), basis] = 1.0
+                u = states._cnot(n, control, target)
+                assert u.dtype == ref.dtype and u.tobytes() == ref.tobytes()
+                assert not u.flags.writeable  # cached, so shared between calls
+
+
+def test_pauli_on_is_the_kronecker_chain():
+    eye = np.eye(2, dtype=complex)
+    for which, pauli in states.PAULI.items():
+        np.testing.assert_array_equal(
+            states.pauli_on(3, 1, which), np.kron(np.kron(eye, pauli), eye)
+        )
 
 
 def test_shape_validation():
