@@ -10,10 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import petz
+from . import petz, states
 from .errors import NumericalError, RankDeficientError, ShapeMismatchError
-from .linalg import hermitian_eig
-from .states import check_density
 
 RANK_EPS = 1e-12
 IMAG_TOL = 1e-10
@@ -26,7 +24,7 @@ def _real(value: complex, what: str) -> float:
 
 
 def _full_rank_eig(rho: np.ndarray):
-    w, v = hermitian_eig(check_density(rho))
+    w, v = states.check_density(rho)
     if w[0] < RANK_EPS:
         raise RankDeficientError(f"smallest eigenvalue {w[0]:.3e} below {RANK_EPS:.1e}")
     return w, v
@@ -37,11 +35,14 @@ def _check_pair(rho_bar: np.ndarray, rho: np.ndarray):
         raise ShapeMismatchError(f"state shapes differ: {rho_bar.shape} vs {rho.shape}")
 
 
+def _full_rank_pair(rho_bar: np.ndarray, rho: np.ndarray):
+    _check_pair(rho_bar, rho)
+    return _full_rank_eig(rho_bar), _full_rank_eig(rho)
+
+
 def quantum_kl(rho_bar: np.ndarray, rho: np.ndarray) -> float:
     """Umegaki relative entropy Tr[rho_bar (ln rho_bar - ln rho)]."""
-    _check_pair(rho_bar, rho)
-    wb, vb = _full_rank_eig(rho_bar)
-    w, v = _full_rank_eig(rho)
+    (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
     log_bar = (vb * np.log(wb)) @ vb.conj().T
     log_rho = (v * np.log(w)) @ v.conj().T
     return _real(np.trace(rho_bar @ (log_bar - log_rho)), "quantum KL")
@@ -53,9 +54,7 @@ def standard_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> float:
         return quantum_kl(rho_bar, rho)
     if abs(alpha) < petz.ALPHA_EPS:
         raise NumericalError("standard Renyi index alpha = 0 is not supported")
-    _check_pair(rho_bar, rho)
-    wb, vb = _full_rank_eig(rho_bar)
-    w, v = _full_rank_eig(rho)
+    (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
     a_pow = (vb * wb**alpha) @ vb.conj().T
     b_pow = (v * w ** (1.0 - alpha)) @ v.conj().T
     tr = _real(np.trace(a_pow @ b_pow), "standard Renyi trace")
@@ -71,9 +70,7 @@ def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> floa
         return quantum_kl(rho_bar, rho)
     if abs(alpha) < petz.ALPHA_EPS:
         raise NumericalError("sandwiched Renyi index alpha = 0 is not supported")
-    _check_pair(rho_bar, rho)
-    wb, vb = _full_rank_eig(rho_bar)
-    w, v = _full_rank_eig(rho)
+    (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
     bread = (v * w ** ((1.0 - alpha) / (2.0 * alpha))) @ v.conj().T
     root_bar = (vb * np.sqrt(wb)) @ vb.conj().T
     # spectrum of rho^c rho_bar rho^c as squared singular values: the tiny
@@ -87,9 +84,7 @@ def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> floa
 
 def f_divergence(rho_bar: np.ndarray, rho: np.ndarray, F: Callable) -> float:
     """Quantum F-divergence sum_ij p_i F(pbar_j / p_i) |<psibar_j|psi_i>|^2."""
-    _check_pair(rho_bar, rho)
-    wb, vb = _full_rank_eig(rho_bar)
-    w, v = _full_rank_eig(rho)
+    (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
     overlap2 = np.abs(vb.conj().T @ v) ** 2  # [j, i] = |<psibar_j|psi_i>|^2
     ratio = wb[:, None] / w[None, :]
     return float(np.sum(w[None, :] * F(ratio) * overlap2))
@@ -159,8 +154,8 @@ def f_divergence_consistency(alpha: float, grid: np.ndarray = None) -> float:
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1]."""
     _check_pair(rho, sigma)
-    w, v = hermitian_eig(check_density(rho))
-    check_density(sigma)
+    w, v = states.check_density(rho)
+    states.check_density(sigma)
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     lam = np.linalg.eigvalsh(root @ sigma @ root)
     value = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
@@ -226,10 +221,8 @@ def fd_hessian(div: Callable[[np.ndarray], float], theta: np.ndarray, h: float =
 
 def circuit_divergence(kind, state, theta: np.ndarray) -> Callable[[np.ndarray], float]:
     """Adapt a circuit (or any theta -> rho map) to the fd_hessian callable."""
-    from . import states as _states
-
-    if isinstance(state, _states.CircuitState):
-        family = lambda t: _states.evaluate(state, t)
+    if isinstance(state, states.CircuitState):
+        family = lambda t: states.evaluate(state, t)
     else:
         family = state
     anchor = family(np.asarray(theta, dtype=float))

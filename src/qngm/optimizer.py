@@ -27,9 +27,9 @@ RULES = ("trust", "lr")
 
 @dataclass(frozen=True)
 class StateDistance:
-    """L(theta) = ||rho_theta - rho_target||_F^2 with rho_target = rho(theta_star)."""
+    """L(theta) = ||rho_theta - target||_F^2 for a fixed target density matrix."""
 
-    target_theta: np.ndarray
+    target: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,11 @@ CostFunction = Union[StateDistance, Observable]
 
 
 def cost_and_gradient(
-    cost: CostFunction, state: states.CircuitState, theta: np.ndarray
+    cost: CostFunction, rho: np.ndarray, derivs: Sequence[np.ndarray]
 ) -> Tuple[float, np.ndarray]:
-    rho = states.evaluate(state, theta)
-    derivs = states.derivatives(state, theta)
+    """L and dL/dtheta^k from the state rho and its derivatives d rho / d theta^k."""
     if isinstance(cost, StateDistance):
-        target = states.evaluate(state, np.asarray(cost.target_theta, dtype=float))
-        diff = rho - target
+        diff = rho - cost.target
         value = float(np.vdot(diff, diff).real)
         grad = np.array([2.0 * np.vdot(diff, d).real for d in derivs])
     elif isinstance(cost, Observable):
@@ -138,13 +136,13 @@ def run(
     try:
         for step in range(max_steps + 1):
             rho = states.evaluate(state, theta)
+            derivs = states.derivatives(state, theta)
             rho_reg = states.regularize_state(rho, delta)
-            derivs = [(1.0 - delta) * d for d in states.derivatives(state, theta)]
-            G = qfim.metric(rho_reg, derivs, f, rank_tol)
+            G = qfim.metric(rho_reg, [(1.0 - delta) * d for d in derivs], f, rank_tol)
             if use_diagonal:
                 G = qfim.diagonal(G)
             G = qfim.regularize_metric(G, xi)
-            value, grad = cost_and_gradient(cost, state, theta)
+            value, grad = cost_and_gradient(cost, rho, derivs)
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
                 raise NumericalError(f"non-finite cost or gradient at step {step}")
             grad_norm = float(np.linalg.norm(grad))

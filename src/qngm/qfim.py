@@ -13,8 +13,9 @@ vanishing numerators and are skipped.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .errors import (
     NumericalError,
     ShapeMismatchError,
 )
-from .linalg import hermitian_eig
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density
 
 RANK_TOL = 1e-9
@@ -40,16 +40,18 @@ def metric(
     rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Quantum Fisher metric matrix for the given tangents (m-representations)."""
-    rho = check_density(rho)
-    dim = rho.shape[0]
+    p, v = check_density(rho)
+    dim = p.size
     tangents = [np.asarray(x, dtype=complex) for x in tangents]
     for x in tangents:
-        if x.shape != rho.shape:
-            raise ShapeMismatchError(f"tangent shape {x.shape} does not match state {rho.shape}")
+        if x.shape != (dim, dim):
+            raise ShapeMismatchError(f"tangent shape {x.shape} does not match state {(dim, dim)}")
 
-    p, v = hermitian_eig(rho)
     small = p < rank_tol
     big = ~small
+    # basis change: basis[k][i, j] = <psi_i|X^k|psi_j>
+    basis = [v.conj().T @ x @ v for x in tangents]
+    k = len(tangents)
 
     weights = np.zeros((dim, dim))
     if np.any(big):
@@ -67,23 +69,15 @@ def metric(
         # one index in the kernel: denominator continues to p_big * f(0)
         weights[np.ix_(small, big)] = 1.0 / (p[big][None, :] * f0)
         weights[np.ix_(big, small)] = 1.0 / (p[big][:, None] * f0)
-
-    # basis change: basis[k][i, j] = <psi_i|X^k|psi_j>
-    basis = [v.conj().T @ x @ v for x in tangents]
-    k = len(tangents)
-
-    if np.any(small):
-        idx = np.where(small)[0]
-        for m in range(k):
-            blk_m = basis[m][np.ix_(idx, idx)]
-            for n in range(m, k):
-                blk_n = basis[n][np.ix_(idx, idx)]
-                worst = np.abs(blk_m.T * blk_n).max()  # |<j|Xm|i><i|Xn|j>|, kernel pairs
-                if worst > KERNEL_NUMERATOR_TOL:
-                    raise NumericalError(
-                        f"kernel/kernel numerator {worst:.3e} exceeds "
-                        f"{KERNEL_NUMERATOR_TOL:.1e}; tangents leave the fixed-rank manifold"
-                    )
+        # both indices in the kernel: max over m, n, i, j of |<j|Xm|i><i|Xn|j>|
+        # is max over i, j of a[j, i] a[i, j] with a[i, j] = max_m |<i|Xm|j>|
+        a = np.max([np.abs(b[np.ix_(small, small)]) for b in basis], axis=0, initial=0.0)
+        worst = (a * a.T).max()
+        if worst > KERNEL_NUMERATOR_TOL:
+            raise NumericalError(
+                f"kernel/kernel numerator {worst:.3e} exceeds "
+                f"{KERNEL_NUMERATOR_TOL:.1e}; tangents leave the fixed-rank manifold"
+            )
 
     g = np.empty((k, k), dtype=complex)
     for m in range(k):
@@ -220,24 +214,11 @@ class ProbeResult:
     witness: Optional[Witness]
 
 
-def monotonicity_probe(
-    f: petz.PetzFunction,
-    samples: int,
-    seed: int,
-    dim: int = 2,
-    rank_tol: float = RANK_TOL,
-) -> ProbeResult:
-    """Search random (state, tangent, channel) triples for metric growth.
-
-    A monotone metric satisfies g_rho(X, X) >= g_channel(rho)(X', X'); the
-    probe reports the largest observed difference (after - before) together
-    with the witnessing triple when it is positive.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    max_violation = -np.inf
-    witness = None
-    for i in range(samples):
+def probe_triples(
+    f: petz.PetzFunction, seed: int, dim: int = 2, rank_tol: float = RANK_TOL
+) -> Iterator[Witness]:
+    """Endless random (state, tangent, channel) triples; triple i depends on (seed, i) only."""
+    for i in itertools.count():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rho = random_density(rng, dim)
         x = random_tangent(rng, dim)
@@ -245,9 +226,24 @@ def monotonicity_probe(
         before = metric(rho, [x], f, rank_tol)[0, 0]
         rho_out, pushed = apply_channel(kraus, rho, [x])
         after = metric(rho_out, pushed, f, rank_tol)[0, 0]
-        violation = after - before
-        if violation > max_violation:
-            max_violation = violation
-            if violation > 0.0:
-                witness = Witness(i, rho, x, kraus, before, after)
-    return ProbeResult(float(max_violation), witness)
+        yield Witness(i, rho, x, kraus, before, after)
+
+
+def monotonicity_probe(
+    f: petz.PetzFunction,
+    samples: int,
+    seed: int,
+    dim: int = 2,
+    rank_tol: float = RANK_TOL,
+) -> ProbeResult:
+    """Search the first ``samples`` probe triples for metric growth.
+
+    A monotone metric satisfies g_rho(X, X) >= g_channel(rho)(X', X'); the
+    probe reports the largest observed difference (after - before) together
+    with the witnessing triple when it is positive.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    triples = itertools.islice(probe_triples(f, seed, dim, rank_tol), samples)
+    worst = max(triples, key=lambda t: t.violation)  # the first of equal maxima
+    return ProbeResult(float(worst.violation), worst if worst.violation > 0.0 else None)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ShapeMismatchError
+from .linalg import HermitianEig, hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -36,7 +37,8 @@ def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
     return _embed(n_qubits, wire, PAULI[which])
 
 
-def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
+def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> HermitianEig:
+    """Check that rho is a density operator; returns its eigendecomposition."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ShapeMismatchError(f"expected a square matrix, got {rho.shape}")
@@ -44,9 +46,10 @@ def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
         raise NumericalError("density operator is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
         raise NumericalError(f"density operator has trace {np.trace(rho)}")
-    if np.linalg.eigvalsh(rho)[0] < -tol:
+    eig = hermitian_eig(rho, tol)
+    if eig.values[0] < -tol:
         raise NumericalError("density operator has a negative eigenvalue")
-    return rho
+    return eig
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from qngm import cli
+from qngm import cli, optimizer
 from qngm.errors import ParseError, ValidationError
 
 
@@ -246,3 +246,45 @@ def test_failed_sweep_writes_no_csv(tmp_path):
 def test_properties_bad_seed_env_is_a_config_error(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "abc")
     assert cli.main(["properties", "--samples", "5"]) == 2
+
+
+def test_bad_sweep_alpha_fails_before_running(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))
+    argv = ["run", "--sweep-alpha=0.5,0", "--steps", "200", "--out", str(tmp_path / "sweep")]
+    assert cli.main(argv) == 2
+    assert runs == []
+
+
+def test_sweep_builds_the_experiment_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_experiment
+    monkeypatch.setattr(cli, "build_experiment", lambda cfg: built.append(cfg) or build(cfg))
+    config = cli.load_config(
+        overrides={"steps": 2, "sweep_alpha": (0.1, 0.5, -1.0), "out": str(tmp_path)}
+    )
+    assert len(cli.run_experiment(config)) == 3
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, text, value",
+    [
+        ("--theta0", "-1,0,0", (-1.0, 0.0, 0.0)),
+        ("--theta-star", "-0.5,0,0", (-0.5, 0.0, 0.0)),
+        ("--sweep-alpha", "-1,0.5", (-1.0, 0.5)),
+    ],
+)
+def test_flag_value_may_start_with_minus(monkeypatch, flag, text, value):
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", seen.append)
+    assert cli.main(["run", flag, text]) == 0
+    assert cli.main(["run", f"{flag}={text}"]) == 0
+    assert seen[0] == seen[1]
+    assert getattr(seen[0], flag[2:].replace("-", "_")) == value
+
+
+def test_witness_is_found_for_seeds_0_to_49():
+    for seed in range(50):
+        witness = cli.first_witness(seed)
+        assert witness is not None and witness.violation > 0.0, seed

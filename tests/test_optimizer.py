@@ -11,10 +11,16 @@ def experiment(name="single-qubit"):
     return cli.build_experiment(config)
 
 
+def cost_and_gradient(cost, circuit, theta):
+    """optimizer.cost_and_gradient at the circuit's state for theta."""
+    rho, derivs = states.evaluate(circuit, theta), states.derivatives(circuit, theta)
+    return optimizer.cost_and_gradient(cost, rho, derivs)
+
+
 def test_state_distance_minimum():
     circuit, cost, _ = experiment()
-    target = np.asarray(cost.target_theta, dtype=float)
-    value, grad = optimizer.cost_and_gradient(cost, circuit, target)
+    target = np.zeros(circuit.n_params)  # build_experiment's default theta_star
+    value, grad = cost_and_gradient(cost, circuit, target)
     assert value == pytest.approx(0.0, abs=1e-14)
     assert np.abs(grad).max() < 1e-12
 
@@ -25,7 +31,7 @@ def test_observable_identity_is_flat():
     rng = np.random.default_rng(0)
     for _ in range(5):
         theta = rng.uniform(-np.pi, np.pi, size=3)
-        value, grad = optimizer.cost_and_gradient(cost, circuit, theta)
+        value, grad = cost_and_gradient(cost, circuit, theta)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert np.abs(grad).max() < 1e-12
 
@@ -35,13 +41,13 @@ def test_gradient_matches_finite_differences():
     for name in ("single-qubit", "two-qubit"):
         circuit, cost, theta0 = experiment(name)
         theta = theta0 + rng.normal(scale=0.3, size=theta0.size)
-        _, grad = optimizer.cost_and_gradient(cost, circuit, theta)
+        _, grad = cost_and_gradient(cost, circuit, theta)
         h = 1e-6
         for k in range(theta.size):
             e = np.zeros(theta.size)
             e[k] = h
-            lp, _ = optimizer.cost_and_gradient(cost, circuit, theta + e)
-            lm, _ = optimizer.cost_and_gradient(cost, circuit, theta - e)
+            lp, _ = cost_and_gradient(cost, circuit, theta + e)
+            lm, _ = cost_and_gradient(cost, circuit, theta - e)
             assert abs(grad[k] - (lp - lm) / (2 * h)) < 1e-7
 
 
@@ -84,12 +90,12 @@ def test_lr_first_order_decrease():
     rho = states.regularize_state(states.evaluate(circuit, theta0), 1e-3)
     derivs = [(1 - 1e-3) * d for d in states.derivatives(circuit, theta0)]
     G = qfim.regularize_metric(qfim.metric(rho, derivs, petz.SLD), 1e-3)
-    value, grad = optimizer.cost_and_gradient(cost, circuit, theta0)
+    value, grad = cost_and_gradient(cost, circuit, theta0)
     predicted_rate = -float(grad @ solve_sym(G, grad))
     errs = []
     for eta in (1e-3, 5e-4):
         dtheta, _ = optimizer.step_lr(G, grad, eta)
-        actual, _ = optimizer.cost_and_gradient(cost, circuit, theta0 + dtheta)
+        actual, _ = cost_and_gradient(cost, circuit, theta0 + dtheta)
         errs.append(abs((actual - value) - eta * predicted_rate))
     # halving eta shrinks the first-order mismatch roughly fourfold
     assert errs[1] < errs[0] / 2.0
@@ -142,7 +148,7 @@ def test_run_sld_long_descent():
 
 def test_run_stops_at_minimum():
     circuit, cost, theta0 = experiment()
-    target = np.asarray(cost.target_theta, dtype=float)
+    target = np.zeros(circuit.n_params)  # build_experiment's default theta_star
     traj = optimizer.run(circuit, cost, petz.SLD, target, max_steps=50)
     assert traj.error is None
     assert len(traj.records) == 1  # gradient norm already below tolerance
@@ -176,3 +182,24 @@ def test_non_finite_cost_aborts_naming_the_step():
         traj = optimizer.run(circuit, cost, petz.SLD, theta0, max_steps=5)
     assert traj.records == []
     assert traj.error.startswith("NumericalError") and "step 0" in traj.error
+
+
+def counting(calls, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("name", ["three-qubit-heisenberg", "single-qubit"])
+def test_run_builds_the_state_once_per_record(monkeypatch, name):
+    circuit, cost, theta0 = experiment(name)
+    calls = []
+    for fn_name in ("evaluate", "derivatives"):
+        monkeypatch.setattr(states, fn_name, counting(calls, states, fn_name))
+    traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", max_steps=4)
+    assert traj.error is None and len(traj.records) == 5
+    assert calls.count("evaluate") == calls.count("derivatives") == 5

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qngm import classical, divergence, petz, qfim, states
 from qngm.errors import MetricUndefinedError, NumericalError, ShapeMismatchError
@@ -201,3 +203,63 @@ def test_non_monotone_witness_found():
     rho_out, pushed = qfim.apply_channel(w.kraus, w.rho, [w.tangent])
     after = qfim.metric(rho_out, pushed, petz.sandwiched(0.25))[0, 0]
     assert after - before == pytest.approx(w.violation, rel=1e-12)
+
+
+def test_metric_diagonalises_the_state_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    rho = qfim.random_density(rng, 4)
+    tangents = [qfim.random_tangent(rng, 4) for _ in range(3)]
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a)
+        )
+    qfim.metric(rho, tangents, petz.SLD)
+    assert calls == ["eigh"]
+
+
+def _alpha(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_FUNCTIONS = st.recursive(
+    st.one_of(
+        st.sampled_from(
+            [petz.SLD, petz.BKM, petz.RRLD, petz.HALF, petz.ZERO_PLUS, petz.ZERO_MINUS, petz.INFINITY]
+        ),
+        _alpha(-5.0, 5.0).filter(lambda a: abs(a) >= petz.ALPHA_EPS).map(petz.sandwiched),
+        _alpha(-3.0, 3.0).map(petz.standard),
+    ),
+    lambda inner: st.builds(petz.linear, _alpha(0.0, 1.0), inner, inner),
+    max_leaves=3,
+)
+# (dimension, seed, number of tangents) of a random full-rank state and its tangents
+_CASES = st.tuples(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 3))
+
+
+def _state_and_tangents(dim, seed, k):
+    rng = np.random.default_rng(seed)
+    rho = qfim.random_density(rng, dim, floor=0.01)
+    return rho, [qfim.random_tangent(rng, dim) for _ in range(k)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUNCTIONS, _CASES)
+def test_metric_is_psd_for_operator_monotone_f(f, case):
+    assume(petz.is_operator_monotone(f))
+    rho, tangents = _state_and_tangents(*case)
+    g = qfim.metric(rho, tangents, f)
+    assert np.linalg.eigvalsh(g)[0] >= -1e-10 * max(1.0, np.abs(g).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUNCTIONS, _CASES)
+def test_metric_is_unitarily_covariant(f, case):
+    rho, tangents = _state_and_tangents(*case)
+    dim = rho.shape[0]
+    rng = np.random.default_rng(case[1] + 1)
+    u = qfim.haar_random_kraus(rng, dim, n_kraus=1)[0]  # a Haar-random unitary
+    g = qfim.metric(rho, tangents, f)
+    g_u = qfim.metric(u @ rho @ u.conj().T, [u @ x @ u.conj().T for x in tangents], f)
+    np.testing.assert_allclose(g_u, g, rtol=1e-8, atol=1e-10 * np.abs(g).max())
