@@ -45,11 +45,12 @@ CostFunction = Union[StateDistance, Observable]
 def cost_and_gradient(
     cost: CostFunction, rho: np.ndarray, derivs: Sequence[np.ndarray]
 ) -> Tuple[float, np.ndarray]:
-    """L and dL/dtheta^k from the state rho and its derivatives d rho / d theta^k."""
+    """L and dL/dtheta^k from the state rho and its (K, d, d) derivatives d rho / d theta^k."""
+    derivs = np.asarray(derivs, dtype=complex)
     if isinstance(cost, StateDistance):
         diff = rho - cost.target
         value = float(np.vdot(diff, diff).real)
-        grad = np.array([2.0 * np.vdot(diff, d).real for d in derivs])
+        grad = 2.0 * np.einsum("kij,ij->k", derivs, diff.conj()).real
     elif isinstance(cost, Observable):
         h = np.asarray(cost.matrix, dtype=complex)
         if h.shape != rho.shape:
@@ -57,7 +58,7 @@ def cost_and_gradient(
         if np.abs(h - h.conj().T).max() > 1e-10:
             raise ShapeMismatchError("observable must be Hermitian for a real-valued cost")
         value = float(np.trace(rho @ h).real)
-        grad = np.array([np.trace(d @ h).real for d in derivs])
+        grad = np.einsum("kij,ji->k", derivs, h).real
     else:
         raise TypeError(f"unknown cost function {cost!r}")
     return value, grad
@@ -135,10 +136,12 @@ def run(
     traj = Trajectory()
     try:
         for step in range(max_steps + 1):
+            if not np.all(np.isfinite(theta)):
+                raise NumericalError(f"non-finite theta at step {step}")
             rho = states.evaluate(state, theta)
             derivs = states.derivatives(state, theta)
             rho_reg = states.regularize_state(rho, delta)
-            G = qfim.metric(rho_reg, [(1.0 - delta) * d for d in derivs], f, rank_tol)
+            G = qfim.metric(rho_reg, (1.0 - delta) * derivs, f, rank_tol)
             if use_diagonal:
                 G = qfim.diagonal(G)
             G = qfim.regularize_metric(G, xi)

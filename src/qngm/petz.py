@@ -308,9 +308,12 @@ def parse(text: str) -> PetzFunction:
 
     def number(tok: str) -> float:
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
-            raise ParseError(f"expected a number in metric spec {text!r}, got {tok!r}") from None
+            value = np.nan
+        if not np.isfinite(value):
+            raise ParseError(f"expected a finite number in metric spec {text!r}, got {tok!r}")
+        return value
 
     def parse_one() -> PetzFunction:
         head = take()

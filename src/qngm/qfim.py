@@ -39,20 +39,21 @@ def metric(
     f: petz.PetzFunction,
     rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
-    """Quantum Fisher metric matrix for the given tangents (m-representations)."""
+    """Quantum Fisher metric matrix for the given tangents (m-representations).
+
+    ``tangents`` is a sequence of (d, d) matrices or one (K, d, d) array.
+    """
     p, v = check_density(rho)
     dim = p.size
-    tangents = [np.asarray(x, dtype=complex) for x in tangents]
-    for x in tangents:
-        if x.shape != (dim, dim):
-            raise ShapeMismatchError(f"tangent shape {x.shape} does not match state {(dim, dim)}")
+    shapes = {np.shape(x) for x in tangents} - {(dim, dim)}
+    if shapes:
+        raise ShapeMismatchError(f"tangent shape {shapes.pop()} does not match state {(dim, dim)}")
+    x = np.asarray(tangents, dtype=complex).reshape(-1, dim, dim)  # K = 0 gives shape (0,)
+    # basis change: basis[k, i, j] = <psi_i|X^k|psi_j>
+    basis = v.conj().T @ x @ v
 
     small = p < rank_tol
     big = ~small
-    # basis change: basis[k][i, j] = <psi_i|X^k|psi_j>
-    basis = [v.conj().T @ x @ v for x in tangents]
-    k = len(tangents)
-
     weights = np.zeros((dim, dim))
     if np.any(big):
         pb = p[big]
@@ -71,7 +72,7 @@ def metric(
         weights[np.ix_(big, small)] = 1.0 / (p[big][:, None] * f0)
         # both indices in the kernel: max over m, n, i, j of |<j|Xm|i><i|Xn|j>|
         # is max over i, j of a[j, i] a[i, j] with a[i, j] = max_m |<i|Xm|j>|
-        a = np.max([np.abs(b[np.ix_(small, small)]) for b in basis], axis=0, initial=0.0)
+        a = np.abs(basis[:, small][:, :, small]).max(axis=0, initial=0.0)
         worst = (a * a.T).max()
         if worst > KERNEL_NUMERATOR_TOL:
             raise NumericalError(
@@ -79,14 +80,10 @@ def metric(
                 f"{KERNEL_NUMERATOR_TOL:.1e}; tangents leave the fixed-rank manifold"
             )
 
-    g = np.empty((k, k), dtype=complex)
-    for m in range(k):
-        bm = basis[m].T  # bm[i, j] = <psi_j|X^m|psi_i>
-        for n in range(m, k):
-            bn = basis[n].T
-            g[m, n] = np.sum(weights * bm * bn.conj())
-            g[n, m] = np.conj(g[m, n])
-    if k and np.abs(g.imag).max() > IMAG_TOL:
+    # G[m, n] = sum_ij weights[j, i] basis[m, i, j] conj(basis[n, i, j]): one GEMM
+    b = basis.reshape(len(basis), dim * dim)
+    g = (b * weights.T.reshape(-1)) @ b.conj().T
+    if g.size and np.abs(g.imag).max() > IMAG_TOL:
         raise NumericalError(f"metric has imaginary residue {np.abs(g.imag).max():.3e}")
     g = g.real
     return 0.5 * (g + g.T)

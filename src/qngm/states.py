@@ -32,9 +32,12 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
-    """Pauli operator on one wire, identity elsewhere."""
-    return _embed(n_qubits, wire, PAULI[which])
+    """Pauli operator on one wire, identity elsewhere; cached, so returned read-only."""
+    op = _embed(n_qubits, wire, PAULI[which])
+    op.setflags(write=False)
+    return op
 
 
 def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> HermitianEig:
@@ -109,31 +112,35 @@ def _cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
     return u
 
 
+_GENERATORS = {"rz": "z", "ry": "y"}
+
+
 def gate_unitary(state: CircuitState, gate: Gate, theta: np.ndarray) -> np.ndarray:
+    """The gate's matrix; a rotation is cos(phi/2) I - i sin(phi/2) G."""
     if gate.kind == "cnot":
         return _cnot(state.n_qubits, gate.wire, gate.target)
-    phi = theta[gate.param]
-    if gate.kind == "rz":
-        u2 = np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]], dtype=complex)
-    elif gate.kind == "ry":
-        c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-        u2 = np.array([[c, -s], [s, c]], dtype=complex)
-    else:
+    if gate.kind not in _GENERATORS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    return _embed(state.n_qubits, gate.wire, u2)
+    half = 0.5 * theta[gate.param]
+    g = gate_generator(state, gate)
+    return np.cos(half) * np.eye(len(g)) - 1j * np.sin(half) * g
 
 
 def gate_generator(state: CircuitState, gate: Gate) -> np.ndarray:
     """Hermitian G with U(phi) = exp(-i phi G / 2) for parameterized gates."""
-    which = {"rz": "z", "ry": "y"}[gate.kind]
-    return pauli_on(state.n_qubits, gate.wire, which)
+    return pauli_on(state.n_qubits, gate.wire, _GENERATORS[gate.kind])
+
+
+def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (state.n_params,):
+        raise ShapeMismatchError(f"theta shape {theta.shape}, expected ({state.n_params},)")
+    return theta
 
 
 def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     """Density operator U(theta) rho_ini U(theta)^dagger."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (state.n_params,):
-        raise ShapeMismatchError(f"theta shape {theta.shape}, expected ({state.n_params},)")
+    theta = _check_theta(state, theta)
     rho = state.initial.astype(complex)
     for gate in state.gates:
         u = gate_unitary(state, gate, theta)
@@ -141,35 +148,25 @@ def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     return rho
 
 
-def derivatives(state: CircuitState, theta: np.ndarray) -> list:
-    """Analytic d rho / d theta^k for every parameter (m-representations).
+def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
+    """Analytic d rho / d theta^k for every parameter, stacked with shape (K, d, d).
 
-    Each parameterized gate inserts -(i/2)[G, .] at its position; the result
-    is pushed through the remaining gates and accumulated per index.
+    Adjoint method (Jones & Gacon, arXiv:2009.02823): gate j inserts
+    -(i/2)[G_j, .] after itself, and pushing that through the suffix W_j of
+    later gates gives -(i/2)[W_j G_j W_j^dagger, rho].  One backward sweep
+    grows W and sums A_k = sum over gates j of parameter k of W_j G_j W_j^dagger;
+    at its end W is the whole circuit, so rho = W rho_ini W^dagger.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (state.n_params,):
-        raise ShapeMismatchError(f"theta shape {theta.shape}, expected ({state.n_params},)")
+    theta = _check_theta(state, theta)
     dim = 2**state.n_qubits
-    grads = [np.zeros((dim, dim), dtype=complex) for _ in range(state.n_params)]
-
-    unitaries = [gate_unitary(state, g, theta) for g in state.gates]
-    # running[j] = state after gates 0..j
-    rho = state.initial.astype(complex)
-    running = []
-    for u in unitaries:
-        rho = u @ rho @ u.conj().T
-        running.append(rho)
-
-    for j, gate in enumerate(state.gates):
-        if gate.param is None:
-            continue
-        G = gate_generator(state, gate)
-        d = -0.5j * (G @ running[j] - running[j] @ G)
-        for u in unitaries[j + 1 :]:
-            d = u @ d @ u.conj().T
-        grads[gate.param] += d
-    return grads
+    a = np.zeros((state.n_params, dim, dim), dtype=complex)
+    w = np.eye(dim, dtype=complex)
+    for gate in reversed(state.gates):
+        if gate.param is not None:
+            a[gate.param] += w @ gate_generator(state, gate) @ w.conj().T
+        w = w @ gate_unitary(state, gate, theta)
+    rho = w @ state.initial @ w.conj().T
+    return -0.5j * (a @ rho - rho @ a)
 
 
 def regularize_state(rho: np.ndarray, delta: float) -> np.ndarray:

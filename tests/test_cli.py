@@ -1,8 +1,10 @@
+import functools
 import os
 
+import numpy as np
 import pytest
 
-from qngm import cli, optimizer
+from qngm import cli, optimizer, states
 from qngm.errors import ParseError, ValidationError
 
 
@@ -158,6 +160,22 @@ def test_custom_builds_the_builtin_gates():
         assert custom.n_params == builtin.n_params == 3 * n
 
 
+def test_ring_hamiltonian_sums_the_read_only_paulis():
+    # pauli_on returns cached read-only arrays; h += ... must add into a fresh h
+    paulis = {p: np.array(m) for p, m in states.PAULI.items()}
+
+    def on(ops):
+        return functools.reduce(np.kron, [ops.get(w, np.eye(2)) for w in range(3)])
+
+    expected = sum(1.5 * on({i: paulis["z"]}) for i in range(3))
+    for i in range(3):
+        expected = expected + sum(0.25 * on({i: m, (i + 1) % 3: m}) for m in paulis.values())
+    for _ in range(2):
+        h = cli._ring_hamiltonian(3, 1.5, 0.25)
+        np.testing.assert_allclose(h, expected, atol=1e-15)
+    assert states.pauli_on(3, 0, "z")[0, 0] == 1.0
+
+
 # a valid value other than the default for every ExperimentConfig field
 FIELD_VALUES = {
     "experiment": "two-qubit",
@@ -217,6 +235,9 @@ def test_bad_inputs_fail_before_running(tmp_path):
         ["--bloch", "nan,0,0"],
         ["--metric", "lin:5:sld:rrld"],
         ["--sweep-alpha", "0.3,0.5,0.3"],
+        ["--metric", "sw:nan"],
+        ["--metric", "st:-inf"],
+        ["--sweep-alpha=nan"],
     ):
         assert cli.main(["run", *flags, "--steps", "3", "--out", out]) == 2, flags
     assert not os.path.exists(out)

@@ -184,6 +184,18 @@ def test_non_finite_cost_aborts_naming_the_step():
     assert traj.error.startswith("NumericalError") and "step 0" in traj.error
 
 
+def test_non_finite_theta_aborts_naming_the_step():
+    circuit, cost, theta0 = experiment()
+    for bad in (np.nan, np.inf):
+        traj = optimizer.run(circuit, cost, petz.SLD, np.array([bad, 0.0, 0.0]), max_steps=5)
+        assert traj.records == []
+        assert traj.error == "NumericalError: non-finite theta at step 0"
+    # a step that lands on a non-finite theta is caught before the next record
+    traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", eta=np.inf, max_steps=5)
+    assert len(traj.records) == 1
+    assert traj.error == "NumericalError: non-finite theta at step 1"
+
+
 def counting(calls, module, name):
     fn = getattr(module, name)
 

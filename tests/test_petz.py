@@ -227,7 +227,8 @@ def test_parse_round_trip():
 
 
 def test_parse_errors():
-    for text in ("", "sw", "sw:0", "sw:zzz", "lin:0.5:rrld", "foo", "sld:1", "st:"):
+    non_finite = ("sw:nan", "st:nan", "sw:1e400", "st:-inf", "st:inf", "lin:nan:sld:rrld")
+    for text in ("", "sw", "sw:0", "sw:zzz", "lin:0.5:rrld", "foo", "sld:1", "st:", *non_finite):
         with pytest.raises(ParseError):
             petz.parse(text)
 

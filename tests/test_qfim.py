@@ -263,3 +263,83 @@ def test_metric_is_unitarily_covariant(f, case):
     g = qfim.metric(rho, tangents, f)
     g_u = qfim.metric(u @ rho @ u.conj().T, [u @ x @ u.conj().T for x in tangents], f)
     np.testing.assert_allclose(g_u, g, rtol=1e-8, atol=1e-10 * np.abs(g).max())
+
+
+def loop_metric(rho, tangents, f, rank_tol=qfim.RANK_TOL):
+    """The metric as a loop over the K^2 tangent pairs, without the checks; the reference."""
+    p, v = np.linalg.eigh(rho)
+    small = p < rank_tol
+    big = ~small
+    pb = p[big]
+    weights = np.zeros((p.size, p.size))
+    weights[np.ix_(big, big)] = 1.0 / (pb[None, :] * petz.evaluate(f, pb[:, None] / pb[None, :]))
+    if np.any(small):
+        f0 = petz.eval_zero(f)
+        weights[np.ix_(small, big)] = 1.0 / (pb[None, :] * f0)
+        weights[np.ix_(big, small)] = 1.0 / (pb[:, None] * f0)
+    basis = [v.conj().T @ x @ v for x in tangents]
+    k = len(tangents)
+    g = np.empty((k, k), dtype=complex)
+    for m in range(k):
+        bm = basis[m].T
+        for n in range(m, k):
+            bn = basis[n].T
+            g[m, n] = np.sum(weights * bm * bn.conj())
+            g[n, m] = np.conj(g[m, n])
+    g = g.real
+    return 0.5 * (g + g.T)
+
+
+def _rank_deficient_state_and_tangents(dim, seed, k, rank):
+    """rho of the given rank and tangents with a vanishing kernel/kernel block."""
+    rng = np.random.default_rng(seed)
+    u = qfim.haar_random_kraus(rng, dim, n_kraus=1)[0]
+    p = np.zeros(dim)
+    p[:rank] = rng.uniform(0.1, 1.0, size=rank)
+    rho = (u * (p / p.sum())) @ u.conj().T
+    tangents = []
+    for _ in range(k):
+        y = qfim.random_tangent(rng, dim)
+        y[rank:, rank:] = 0.0
+        tangents.append(u @ y @ u.conj().T)
+    return rho, tangents
+
+
+_POSITIVE_AT_ZERO = [f for f in FAMILIES + [petz.ZERO_PLUS] if petz.eval_zero(f) > 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUNCTIONS, _CASES)
+def test_metric_matches_the_pair_loop_on_full_rank_states(f, case):
+    rho, tangents = _state_and_tangents(*case)
+    g = qfim.metric(rho, tangents, f)
+    np.testing.assert_allclose(g, loop_metric(rho, tangents, f), rtol=0, atol=1e-12 * np.abs(g).max())
+    np.testing.assert_array_equal(qfim.metric(rho, np.stack(tangents), f), g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_POSITIVE_AT_ZERO), _CASES, st.integers(1, 3))
+def test_metric_matches_the_pair_loop_on_rank_deficient_states(f, case, rank):
+    dim, seed, k = case
+    assume(rank < dim)
+    rho, tangents = _rank_deficient_state_and_tangents(dim, seed, k, rank)
+    g = qfim.metric(rho, tangents, f)
+    np.testing.assert_allclose(g, loop_metric(rho, tangents, f), rtol=0, atol=1e-12 * np.abs(g).max())
+    np.testing.assert_array_equal(qfim.metric(rho, np.stack(tangents), f), g)
+
+
+def test_metric_of_no_tangents_is_empty():
+    rng = np.random.default_rng(7)
+    for rho in (qfim.random_density(rng, 3), states.bloch_state(0.0, 0.0, 1.0)):
+        dim = rho.shape[0]
+        for tangents in ([], np.zeros((0, dim, dim), dtype=complex)):
+            g = qfim.metric(rho, tangents, petz.SLD)
+            assert g.shape == (0, 0) and g.dtype == np.float64
+
+
+def test_metric_rejects_a_bad_tangent_shape():
+    rho = np.eye(2, dtype=complex) / 2
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    for tangents in ([x, np.eye(3)], [x, x[0]], np.zeros((2, 3, 3))):
+        with pytest.raises(ShapeMismatchError):
+            qfim.metric(rho, tangents, petz.SLD)

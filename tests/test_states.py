@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qngm import states
+from qngm import qfim, states
 from qngm.errors import NumericalError, ShapeMismatchError
 
 
@@ -139,6 +141,97 @@ def test_pauli_on_is_the_kronecker_chain():
         np.testing.assert_array_equal(
             states.pauli_on(3, 1, which), np.kron(np.kron(eye, pauli), eye)
         )
+        assert not states.pauli_on(3, 1, which).flags.writeable  # cached, so shared
+
+
+def kron_gate(n_qubits, gate, theta):
+    """A gate's matrix from a chain of np.kron over the wires (CNOT from states)."""
+    if gate.kind == "cnot":
+        return states._cnot(n_qubits, gate.wire, gate.target)
+    phi = theta[gate.param]
+    if gate.kind == "rz":
+        u2 = np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]], dtype=complex)
+    else:
+        c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+        u2 = np.array([[c, -s], [s, c]], dtype=complex)
+    op = np.array([[1.0]], dtype=complex)
+    for w in range(n_qubits):
+        op = np.kron(op, u2 if w == gate.wire else np.eye(2, dtype=complex))
+    return op
+
+
+def test_gate_unitary_is_the_kronecker_chain():
+    theta = np.array([0.0, 0.3, -1.7, np.pi, 5.5])
+    for n in (1, 2, 3, 4):
+        circ = states.CircuitState(n, np.eye(2**n, dtype=complex) / 2**n, (), theta.size)
+        for wire in range(n):
+            for kind in ("rz", "ry"):
+                for k in range(theta.size):
+                    gate = states.Gate(kind, wire, param=k)
+                    u = states.gate_unitary(circ, gate, theta)
+                    assert np.abs(u - kron_gate(n, gate, theta)).max() <= 1e-15
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        states.gate_unitary(circ, states.Gate("rx", 0, param=0), theta)
+
+
+def push_forward_derivatives(state, theta):
+    """d rho / d theta^k by pushing each -(i/2)[G, rho_j] through every later gate."""
+    dim = 2**state.n_qubits
+    grads = np.zeros((state.n_params, dim, dim), dtype=complex)
+    unitaries = [kron_gate(state.n_qubits, g, theta) for g in state.gates]
+    rho = state.initial.astype(complex)
+    running = []  # running[j] = state after gates 0..j
+    for u in unitaries:
+        rho = u @ rho @ u.conj().T
+        running.append(rho)
+    for j, gate in enumerate(state.gates):
+        if gate.param is None:
+            continue
+        G = states.pauli_on(state.n_qubits, gate.wire, {"rz": "z", "ry": "y"}[gate.kind])
+        d = -0.5j * (G @ running[j] - running[j] @ G)
+        for u in unitaries[j + 1 :]:
+            d = u @ d @ u.conj().T
+        grads[gate.param] += d
+    return grads
+
+
+@st.composite
+def random_circuits(draw):
+    """A random state behind up to 12 rz/ry/cnot gates on 1-4 qubits; parameters repeat."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    wires = st.integers(0, n - 1)
+    gate = st.builds(
+        lambda kind, w, p: states.Gate(kind, w, param=p),
+        st.sampled_from(["rz", "ry"]),
+        wires,
+        st.integers(0, k - 1),
+    )
+    if n > 1:
+        gate |= st.builds(
+            lambda w, shift: states.Gate("cnot", w, target=(w + shift) % n),
+            wires,
+            st.integers(1, n - 1),
+        )
+    gates = draw(st.lists(gate, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    circ = states.CircuitState(n, qfim.random_density(rng, 2**n), tuple(gates), k)
+    return circ, rng.uniform(-np.pi, np.pi, size=k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_circuits())
+def test_derivatives_match_push_forward_and_finite_differences(case):
+    circ, theta = case
+    derivs = states.derivatives(circ, theta)
+    assert derivs.shape == (circ.n_params, *circ.initial.shape)
+    assert np.abs(derivs - push_forward_derivatives(circ, theta)).max() <= 1e-12
+    h = 1e-5
+    for k in range(circ.n_params):
+        e = np.zeros(circ.n_params)
+        e[k] = h
+        fd = (states.evaluate(circ, theta + e) - states.evaluate(circ, theta - e)) / (2 * h)
+        assert np.abs(derivs[k] - fd).max() < 1e-7
 
 
 def test_shape_validation():
