@@ -18,18 +18,26 @@ class HermitianEig(NamedTuple):
     vectors: np.ndarray
 
 
+def _dagger(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
 def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return np.abs(M - M.conj().T).max() <= tol
+    """True if M, or every matrix of a (..., d, d) stack, is Hermitian within tol."""
+    return np.abs(M - _dagger(M)).max() <= tol
 
 
 def hermitian_eig(M: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    M may be a (..., d, d) stack; every member is diagonalised by one ``eigh``.
+    """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
     if not is_hermitian(M, tol):
         raise NotHermitianError(
-            f"max |M - M^dagger| = {np.abs(M - M.conj().T).max():.3e} exceeds {tol:.1e}"
+            f"max |M - M^dagger| = {np.abs(M - _dagger(M)).max():.3e} exceeds {tol:.1e}"
         )
     values, vectors = np.linalg.eigh(M)
     return HermitianEig(values, vectors)

@@ -23,6 +23,7 @@ from . import petz
 from .errors import (
     MetricUndefinedError,
     NumericalError,
+    QngmError,
     ShapeMismatchError,
 )
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density
@@ -31,6 +32,8 @@ RANK_TOL = 1e-9
 KERNEL_NUMERATOR_TOL = 1e-9
 IMAG_TOL = 1e-10
 KRAUS_TOL = 1e-10
+# probe triples evaluated per stacked call; divides the report's 100 and 500 samples
+_CHUNK = 100
 
 
 def metric(
@@ -41,52 +44,62 @@ def metric(
 ) -> np.ndarray:
     """Quantum Fisher metric matrix for the given tangents (m-representations).
 
-    ``tangents`` is a sequence of (d, d) matrices or one (K, d, d) array.
+    For one state, rho is (d, d) and ``tangents`` a sequence of (d, d)
+    matrices or one (K, d, d) array; the result is (K, K).  For a stack of
+    N states, rho is (N, d, d), ``tangents`` is (N, K, d, d) and the result
+    is (N, K, K), equal bit for bit to N single calls: one stacked ``eigh``,
+    one ``petz.evaluate`` and one batched GEMM serve the whole stack.
     """
-    p, v = check_density(rho)
-    dim = p.size
-    shapes = {np.shape(x) for x in tangents} - {(dim, dim)}
-    if shapes:
-        raise ShapeMismatchError(f"tangent shape {shapes.pop()} does not match state {(dim, dim)}")
-    x = np.asarray(tangents, dtype=complex).reshape(-1, dim, dim)  # K = 0 gives shape (0,)
-    # basis change: basis[k, i, j] = <psi_i|X^k|psi_j>
-    basis = v.conj().T @ x @ v
+    p, v = check_density(rho)  # p is (..., d), v is (..., d, d)
+    batch, dim = p.shape[:-1], p.shape[-1]
+    try:
+        x = np.asarray(tangents, dtype=complex)
+    except ValueError:  # a ragged list
+        raise ShapeMismatchError("tangents differ in shape") from None
+    if x.shape == (0,):  # an empty list
+        x = x.reshape(0, dim, dim)
+    if x.shape[:-3] != batch or x.shape[-2:] != (dim, dim) or x.ndim != len(batch) + 3:
+        raise ShapeMismatchError(f"tangents of shape {x.shape} do not match states {np.shape(rho)}")
+    # basis change: basis[..., k, i, j] = <psi_i|X^k|psi_j>
+    basis = v.conj().swapaxes(-1, -2)[..., None, :, :] @ x @ v[..., None, :, :]
 
     small = p < rank_tol
-    big = ~small
-    weights = np.zeros((dim, dim))
-    if np.any(big):
-        pb = p[big]
-        ratios = pb[:, None] / pb[None, :]
-        denom = pb[None, :] * petz.evaluate(f, ratios)
-        weights[np.ix_(big, big)] = 1.0 / denom
-    if np.any(small):
+    deficient = small.any()  # full-rank states skip the kernel handling
+    if deficient:
         f0 = petz.eval_zero(f)
         if f0 <= 0.0:
             raise MetricUndefinedError(
                 f"state is rank-deficient below tol {rank_tol:.1e} and f(0) = {f0}; "
                 "a Petz function with f(0) > 0 is required"
             )
+        p = np.where(small, 1.0, p)  # a placeholder: weights touching the kernel are set below
+    ratios = p[..., :, None] / p[..., None, :]
+    weights = 1.0 / (p[..., None, :] * petz.evaluate(f, ratios))
+    if deficient:
+        small_i, small_j = small[..., :, None], small[..., None, :]
         # one index in the kernel: denominator continues to p_big * f(0)
-        weights[np.ix_(small, big)] = 1.0 / (p[big][None, :] * f0)
-        weights[np.ix_(big, small)] = 1.0 / (p[big][:, None] * f0)
+        p_big = np.where(small_i, p[..., None, :], p[..., :, None])
+        weights = np.where(small_i ^ small_j, 1.0 / (p_big * f0), weights)
         # both indices in the kernel: max over m, n, i, j of |<j|Xm|i><i|Xn|j>|
         # is max over i, j of a[j, i] a[i, j] with a[i, j] = max_m |<i|Xm|j>|
-        a = np.abs(basis[:, small][:, :, small]).max(axis=0, initial=0.0)
-        worst = (a * a.T).max()
+        both = small_i & small_j
+        weights[both] = 0.0
+        a = np.abs(basis).max(axis=-3, initial=0.0)
+        worst = np.where(both, a * a.swapaxes(-1, -2), 0.0).max()
         if worst > KERNEL_NUMERATOR_TOL:
             raise NumericalError(
                 f"kernel/kernel numerator {worst:.3e} exceeds "
                 f"{KERNEL_NUMERATOR_TOL:.1e}; tangents leave the fixed-rank manifold"
             )
 
-    # G[m, n] = sum_ij weights[j, i] basis[m, i, j] conj(basis[n, i, j]): one GEMM
-    b = basis.reshape(len(basis), dim * dim)
-    g = (b * weights.T.reshape(-1)) @ b.conj().T
+    # G[m, n] = sum_ij weights[j, i] basis[m, i, j] conj(basis[n, i, j]): one GEMM per state
+    b = basis.reshape(*basis.shape[:-2], dim * dim)
+    w = weights.swapaxes(-1, -2).reshape(*batch, 1, dim * dim)
+    g = (b * w) @ b.conj().swapaxes(-1, -2)
     if g.size and np.abs(g.imag).max() > IMAG_TOL:
         raise NumericalError(f"metric has imaginary residue {np.abs(g.imag).max():.3e}")
     g = g.real
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def metric_pure(
@@ -120,20 +133,29 @@ def regularize_metric(G: np.ndarray, xi: float) -> np.ndarray:
     return (1.0 - xi) * G + xi * np.eye(G.shape[0])
 
 
-def check_kraus(kraus: Sequence[np.ndarray], tol: float = KRAUS_TOL) -> List[np.ndarray]:
-    kraus = [np.asarray(k, dtype=complex) for k in kraus]
-    dim = kraus[0].shape[0]
-    total = sum(k.conj().T @ k for k in kraus)
-    if np.abs(total - np.eye(dim)).max() > tol:
+def check_kraus(kraus: Sequence[np.ndarray], tol: float = KRAUS_TOL) -> np.ndarray:
+    """The Kraus operators as one (..., M, d, d) array, checked for sum K^dagger K = I."""
+    kraus = np.asarray(kraus, dtype=complex)
+    total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    if np.abs(total - np.eye(kraus.shape[-1])).max() > tol:
         raise ShapeMismatchError("Kraus operators do not satisfy sum K^dagger K = I")
     return kraus
 
 
 def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray, tangents: Sequence[np.ndarray]):
-    """Push state and m-representation tangents through a CPTP map."""
-    kraus = check_kraus(kraus)
-    rho_out = sum(k @ rho @ k.conj().T for k in kraus)
-    pushed = [sum(k @ x @ k.conj().T for k in kraus) for x in tangents]
+    """Push state and m-representation tangents through a CPTP map.
+
+    For one state, ``kraus`` lists M (d, d) operators, rho is (d, d) and
+    ``tangents`` is K (d, d) matrices; returns rho' (d, d) and the pushed
+    tangents (K, d, d).  For N states every argument gains a leading axis:
+    kraus (N, M, d, d), rho (N, d, d), tangents (N, K, d, d).  A shorter
+    Kraus list may be padded with zero operators, which add nothing.
+    """
+    k = check_kraus(kraus)
+    kh = k.conj().swapaxes(-1, -2)
+    rho_out = (k @ np.asarray(rho, dtype=complex)[..., None, :, :] @ kh).sum(axis=-3)
+    x = np.asarray(tangents, dtype=complex).reshape(*k.shape[:-3], 1, -1, *k.shape[-2:])
+    pushed = (k[..., None, :, :] @ x @ kh[..., None, :, :]).sum(axis=-4)
     return rho_out, pushed
 
 
@@ -211,19 +233,43 @@ class ProbeResult:
     witness: Optional[Witness]
 
 
+def _draw_triple(seed: int, index: int, dim: int):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    return random_density(rng, dim), random_tangent(rng, dim), _sample_channel(rng, dim)
+
+
+def _contraction(f: petz.PetzFunction, triples, rank_tol: float):
+    """g(X, X) at rho and at the channel's output, for a list of triples at once."""
+    rho = np.stack([t[0] for t in triples])
+    x = np.stack([t[1] for t in triples])[:, None]
+    m = max(len(t[2]) for t in triples)
+    kraus = np.zeros((len(triples), m) + rho.shape[1:], dtype=complex)
+    for n, t in enumerate(triples):
+        kraus[n, : len(t[2])] = t[2]
+    before = metric(rho, x, f, rank_tol)[:, 0, 0]
+    after = metric(*apply_channel(kraus, rho, x), f, rank_tol)[:, 0, 0]
+    return zip(before, after)
+
+
 def probe_triples(
     f: petz.PetzFunction, seed: int, dim: int = 2, rank_tol: float = RANK_TOL
 ) -> Iterator[Witness]:
-    """Endless random (state, tangent, channel) triples; triple i depends on (seed, i) only."""
-    for i in itertools.count():
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        rho = random_density(rng, dim)
-        x = random_tangent(rng, dim)
-        kraus = _sample_channel(rng, dim)
-        before = metric(rho, [x], f, rank_tol)[0, 0]
-        rho_out, pushed = apply_channel(kraus, rho, [x])
-        after = metric(rho_out, pushed, f, rank_tol)[0, 0]
-        yield Witness(i, rho, x, kraus, before, after)
+    """Endless random (state, tangent, channel) triples; triple i depends on (seed, i) only.
+
+    Triples are drawn and evaluated ``_CHUNK`` at a time: one stacked metric
+    before the channel, one ``apply_channel`` over the zero-padded Kraus
+    stack and one stacked metric after it.  If a chunk fails, its triples
+    are replayed one at a time, so every triple before the failing one is
+    still yielded, as by a triple-at-a-time loop.
+    """
+    for start in itertools.count(0, _CHUNK):
+        triples = [_draw_triple(seed, i, dim) for i in range(start, start + _CHUNK)]
+        try:
+            values = _contraction(f, triples, rank_tol)
+        except QngmError:
+            values = (next(_contraction(f, [t], rank_tol)) for t in triples)
+        for i, (rho, x, kraus), (before, after) in zip(itertools.count(start), triples, values):
+            yield Witness(i, rho, x, kraus, before, after)
 
 
 def monotonicity_probe(

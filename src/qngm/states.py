@@ -41,16 +41,22 @@ def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
 
 
 def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> HermitianEig:
-    """Check that rho is a density operator; returns its eigendecomposition."""
+    """Check that rho is a density operator; returns its eigendecomposition.
+
+    rho may be a (..., d, d) stack: every member is checked, and the result
+    holds the (..., d) values and (..., d, d) vectors of one stacked ``eigh``.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > tol:
         raise NumericalError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise NumericalError(f"density operator has trace {np.trace(rho)}")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
+    if off.max() > tol:
+        raise NumericalError(f"density operator has trace {trace.flat[off.argmax()]}")
     eig = hermitian_eig(rho, tol)
-    if eig.values[0] < -tol:
+    if eig.values[..., 0].min() < -tol:
         raise NumericalError("density operator has a negative eigenvalue")
     return eig
 
@@ -79,6 +85,15 @@ class CircuitState:
                 f"initial state shape {self.initial.shape} for {self.n_qubits} qubits"
             )
         for g in self.gates:
+            if g.kind == "cnot":
+                if g.target is None or g.param is not None or g.target == g.wire:
+                    raise ShapeMismatchError(
+                        f"gate {g}: a cnot needs a target other than its wire and no parameter"
+                    )
+            elif g.kind not in _GENERATORS:
+                raise ShapeMismatchError(f"gate {g} has unknown kind {g.kind!r}")
+            elif g.param is None or g.target is not None:
+                raise ShapeMismatchError(f"gate {g}: a rotation needs a parameter and no target")
             wires = (g.wire,) if g.target is None else (g.wire, g.target)
             if any(not 0 <= w < self.n_qubits for w in wires):
                 raise ShapeMismatchError(f"gate {g} addresses a wire outside the register")

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qngm import classical, divergence, petz, qfim, states
-from qngm.errors import MetricUndefinedError, NumericalError, ShapeMismatchError
+from qngm import classical, cli, divergence, petz, qfim, states
+from qngm.errors import MetricUndefinedError, NumericalError, QngmError, ShapeMismatchError
 
 FAMILIES = [
     petz.SLD,
@@ -179,6 +181,7 @@ def test_apply_channel():
     out, pushed = qfim.apply_channel(kraus, qfim.random_density(rng, 4), [qfim.random_tangent(rng, 4)])
     states.check_density(out)
     assert abs(np.trace(pushed[0])) < 1e-12
+    assert qfim.apply_channel(kraus, out, [])[1].shape == (0, 4, 4)
 
 
 def test_check_kraus_rejects_incomplete():
@@ -343,3 +346,139 @@ def test_metric_rejects_a_bad_tangent_shape():
     for tangents in ([x, np.eye(3)], [x, x[0]], np.zeros((2, 3, 3))):
         with pytest.raises(ShapeMismatchError):
             qfim.metric(rho, tangents, petz.SLD)
+
+
+# (dimension, number of tangents, one (seed, rank) per state); a rank >= dimension is full rank
+_STACKS = st.tuples(
+    st.integers(2, 4),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4)), min_size=1, max_size=5),
+)
+
+
+def _stack(dim, k, members):
+    pairs = [
+        _rank_deficient_state_and_tangents(dim, seed, k, rank)
+        if rank < dim
+        else _state_and_tangents(dim, seed, k)
+        for seed, rank in members
+    ]
+    return np.stack([rho for rho, _ in pairs]), np.stack([np.stack(x) for _, x in pairs])
+
+
+def _assert_stack_is_single_calls(rho, x, f):
+    g = qfim.metric(rho, x, f)
+    assert g.shape == x.shape[:2] + x.shape[1:2]
+    for n in range(len(rho)):
+        np.testing.assert_array_equal(g[n], qfim.metric(rho[n], x[n], f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FUNCTIONS, _STACKS)
+def test_stacked_metric_is_single_calls_on_full_rank_stacks(f, case):
+    dim, k, members = case
+    _assert_stack_is_single_calls(*_stack(dim, k, [(seed, dim) for seed, _ in members]), f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([petz.SLD, petz.ZERO_PLUS]), _STACKS)
+def test_stacked_metric_is_single_calls_on_mixed_rank_stacks(f, case):
+    _assert_stack_is_single_calls(*_stack(*case), f)
+
+
+def _bad_member(kind, dim, seed):
+    """One (rho, tangents, f, error class) that the metric must reject."""
+    rho, x = _state_and_tangents(dim, seed, 2)
+    f = petz.SLD
+    if kind == "not hermitian":
+        rho = rho.copy()
+        rho[0, 1] += 1e-6
+        error = NumericalError
+    elif kind == "trace":
+        rho, error = 1.01 * rho, NumericalError
+    elif kind == "negative eigenvalue":
+        # -0.1 along a kernel direction that the tangents do not touch, so
+        # that only the eigenvalue check can reject the member
+        pure, x = _rank_deficient_state_and_tangents(dim, seed, 2, 1)
+        kernel = np.linalg.eigh(pure)[1][:, 0]
+        rho, error = 1.1 * pure - 0.1 * np.outer(kernel, kernel.conj()), NumericalError
+    elif kind == "f(0) = 0":
+        rho, x = _rank_deficient_state_and_tangents(dim, seed, 2, 1)
+        f, error = petz.BKM, MetricUndefinedError
+    else:  # tangents with a nonzero kernel/kernel block
+        rho, _ = _rank_deficient_state_and_tangents(dim, seed, 2, 1)
+        error = NumericalError
+    return rho, np.stack(x), f, error
+
+
+def _raised(call):
+    with pytest.raises(QngmError) as info:
+        call()
+    return type(info.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["not hermitian", "trace", "negative eigenvalue", "f(0) = 0", "kernel block"]),
+    _STACKS,
+    st.data(),
+)
+def test_stack_with_one_bad_member_raises_as_the_single_call(kind, case, data):
+    dim, _, members = case
+    rho, x = _stack(dim, 2, [(seed, dim) for seed, _ in members])
+    bad_rho, bad_x, f, error = _bad_member(kind, dim, members[0][0])
+    j = data.draw(st.integers(0, len(members) - 1))
+    rho[j], x[j] = bad_rho, bad_x
+    assert _raised(lambda: qfim.metric(bad_rho, bad_x, f)) is error
+    assert _raised(lambda: qfim.metric(rho, x, f)) is error
+
+
+def loop_probe_triples(f, seed, dim=2, rank_tol=qfim.RANK_TOL):
+    """The former triple-at-a-time probe generator; the reference for the chunked one."""
+    for i in itertools.count():
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        rho = qfim.random_density(rng, dim)
+        x = qfim.random_tangent(rng, dim)
+        kraus = qfim._sample_channel(rng, dim)
+        before = qfim.metric(rho, [x], f, rank_tol)[0, 0]
+        rho_out = sum(k @ rho @ k.conj().T for k in kraus)
+        pushed = [sum(k @ x @ k.conj().T for k in kraus)]
+        after = qfim.metric(rho_out, pushed, f, rank_tol)[0, 0]
+        yield qfim.Witness(i, rho, x, kraus, before, after)
+
+
+@pytest.mark.parametrize("spec", ["sld", "rrld", "sw:0.25"])
+def test_chunked_probe_matches_the_triple_loop(spec):
+    f = petz.parse(spec)
+    n = 250  # crosses two chunk boundaries
+    pairs = zip(itertools.islice(qfim.probe_triples(f, 7), n), loop_probe_triples(f, 7))
+    for got, want in pairs:
+        assert got.index == want.index
+        np.testing.assert_array_equal(got.rho, want.rho)
+        np.testing.assert_array_equal(got.tangent, want.tangent)
+        assert len(got.kraus) == len(want.kraus)
+        for a, b in zip(got.kraus, want.kraus):
+            np.testing.assert_array_equal(a, b)
+        assert (got.before, got.after) == (want.before, want.after)
+
+
+def test_probe_yields_every_triple_before_a_failing_one(monkeypatch):
+    draw = qfim._draw_triple
+
+    def pure_at_150(seed, index, dim):
+        rho, x, kraus = draw(seed, index, dim)
+        return (states.bloch_state(0.0, 0.0, 1.0) if index == 150 else rho), x, kraus
+
+    monkeypatch.setattr(qfim, "_draw_triple", pure_at_150)
+    triples = qfim.probe_triples(petz.BKM, 7)  # f(0) = 0: the pure state fails
+    for got, want in zip(itertools.islice(triples, 150), loop_probe_triples(petz.BKM, 7)):
+        assert (got.index, got.before, got.after) == (want.index, want.before, want.after)
+    with pytest.raises(MetricUndefinedError):
+        next(triples)
+
+
+def test_first_witness_matches_the_triple_loop():
+    f = petz.sandwiched(0.25)
+    for seed in range(10):
+        want = next(t for t in loop_probe_triples(f, seed) if t.violation > 0.0)
+        assert cli.first_witness(seed).index == want.index

@@ -246,6 +246,22 @@ def test_shape_validation():
         states.check_density(np.eye(2, dtype=complex))  # trace 2
 
 
+@pytest.mark.parametrize(
+    "gate",
+    [
+        states.Gate("rz", 0),  # rotation without a parameter
+        states.Gate("ry", 0, param=0, target=1),  # rotation with a target
+        states.Gate("cnot", 0),  # cnot without a target
+        states.Gate("cnot", 0, param=0, target=1),  # cnot with a parameter
+        states.Gate("cnot", 1, target=1),  # target == wire
+        states.Gate("rx", 0, param=0),  # unknown kind
+    ],
+)
+def test_malformed_gate_fails_at_construction(gate):
+    with pytest.raises(ShapeMismatchError):
+        states.CircuitState(2, np.eye(4, dtype=complex) / 4, (gate,), 1)
+
+
 def test_linear_family():
     rng = np.random.default_rng(3)
     rho = np.eye(2, dtype=complex) / 2
