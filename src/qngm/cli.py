@@ -253,8 +253,16 @@ def write_csv(path: str, trajectory: optimizer.Trajectory) -> None:
     rows = [CSV_HEADER]
     for r in trajectory.records:
         rows.append(f"{r.step},{r.cost:.17g},{r.grad_norm:.17g},{r.metric_cond:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(rows) + "\n")
+    # write beside the target and rename, so a failed write leaves no truncated CSV
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(rows) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def run_experiment(config: ExperimentConfig) -> List[str]:

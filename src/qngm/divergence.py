@@ -90,37 +90,19 @@ def f_divergence(rho_bar: np.ndarray, rho: np.ndarray, F: Callable) -> float:
     return float(np.sum(w[None, :] * F(ratio) * overlap2))
 
 
-def divergence(kind, rho_bar: np.ndarray, rho: np.ndarray) -> float:
-    """Dispatch on ('qkl',), ('st', alpha), ('sw', alpha) or ('f', F)."""
-    tag = kind[0] if isinstance(kind, tuple) else kind
-    if tag == "qkl":
-        return quantum_kl(rho_bar, rho)
-    if tag == "st":
-        return standard_renyi(rho_bar, rho, kind[1])
-    if tag == "sw":
-        return sandwiched_renyi(rho_bar, rho, kind[1])
-    if tag == "f":
-        return f_divergence(rho_bar, rho, kind[1])
-    raise ValueError(f"unknown divergence kind {kind!r}")
-
-
 def paired_divergence(f: petz.PetzFunction):
     """The divergence whose coincidence Hessian equals the metric of f.
 
-    sld / sw:a  ->  sandwiched Renyi;   bkm  ->  quantum KL;
-    rrld / half ->  sandwiched Renyi at a = -1 / 2;   st:a -> standard Renyi.
+    The Renyi index comes from ``petz.renyi_index``: sld / rrld / half / bkm
+    pair with sandwiched Renyi at a = 1/2 / -1 / 2 / 1 (quantum KL), sw:a with
+    sandwiched Renyi at a and st:a with standard Renyi at a.
     """
-    alias = {"sld": 0.5, "rrld": -1.0, "half": 2.0}
-    if f.kind in alias:
-        a = alias[f.kind]
-        return lambda rb, r: sandwiched_renyi(rb, r, a)
-    if f.kind == "bkm":
-        return quantum_kl
-    if f.kind == "sw":
-        return lambda rb, r: sandwiched_renyi(rb, r, f.alpha)
-    if f.kind == "st":
-        return lambda rb, r: standard_renyi(rb, r, f.alpha)
-    raise ValueError(f"no divergence pairing for Petz function {f}")
+    index = petz.renyi_index(f)
+    if index is None:
+        raise ValueError(f"no divergence pairing for Petz function {f}")
+    family, alpha = index
+    renyi = {"sandwiched": sandwiched_renyi, "standard": standard_renyi}[family]
+    return lambda rb, r: renyi(rb, r, alpha)
 
 
 def alpha_divergence_F(alpha: float) -> Callable:
@@ -218,12 +200,3 @@ def fd_hessian(div: Callable[[np.ndarray], float], theta: np.ndarray, h: float =
             ) / (2.0 * h * h)
     return 0.5 * (hess + hess.T)
 
-
-def circuit_divergence(kind, state, theta: np.ndarray) -> Callable[[np.ndarray], float]:
-    """Adapt a circuit (or any theta -> rho map) to the fd_hessian callable."""
-    if isinstance(state, states.CircuitState):
-        family = lambda t: states.evaluate(state, t)
-    else:
-        family = state
-    anchor = family(np.asarray(theta, dtype=float))
-    return lambda theta_bar: divergence(kind, family(theta_bar), anchor)

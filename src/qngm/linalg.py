@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotHermitianError, ShapeMismatchError, SingularError
+from .errors import NotHermitianError, ShapeMismatchError, SingularError
 
 HERMITIAN_TOL = 1e-10
 
@@ -22,11 +22,6 @@ def _dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(M: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True if M, or every matrix of a (..., d, d) stack, is Hermitian within tol."""
-    return np.abs(M - _dagger(M)).max() <= tol
-
-
 def hermitian_eig(M: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -35,27 +30,11 @@ def hermitian_eig(M: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    if not is_hermitian(M, tol):
-        raise NotHermitianError(
-            f"max |M - M^dagger| = {np.abs(M - _dagger(M)).max():.3e} exceeds {tol:.1e}"
-        )
+    residue = np.abs(M - _dagger(M)).max()
+    if not residue <= tol:  # a nan residue fails too
+        raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {tol:.1e}")
     values, vectors = np.linalg.eigh(M)
     return HermitianEig(values, vectors)
-
-
-def matrix_fn(M: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
-
-    Returns V diag(fn(lambda)) V^dagger.  Raises DomainError if fn produces
-    non-finite values on any eigenvalue (e.g. log of 0).
-    """
-    values, vectors = hermitian_eig(M)
-    with np.errstate(all="ignore"):
-        mapped = np.asarray(fn(values))
-    if not np.all(np.isfinite(mapped)):
-        bad = values[~np.isfinite(mapped)]
-        raise DomainError(f"eigenvalue(s) {bad} outside the domain of {fn!r}")
-    return (vectors * mapped) @ vectors.conj().T
 
 
 def solve_sym(G: np.ndarray, b: np.ndarray) -> np.ndarray:

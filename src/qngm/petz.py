@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class PetzFunction:
     alpha: Optional[float] = None
     left: Optional["PetzFunction"] = None
     right: Optional["PetzFunction"] = None
+
+    def __post_init__(self):
+        if self.alpha is not None and not np.isfinite(self.alpha):
+            raise DomainError(f"{self.kind} index alpha must be finite, got {self.alpha}")
 
     def __call__(self, t):
         return evaluate(self, t)
@@ -93,10 +97,6 @@ def linear(alpha: float, f1: PetzFunction, f2: PetzFunction) -> PetzFunction:
     return f
 
 
-def _taylor(t):
-    return 1.0 + 0.5 * (t - 1.0)
-
-
 def _eval_sw(alpha: float, t, u):
     # (1 - a)(1 - t^(1/a)) / (1 - t^((1-a)/a)) = (1 - a) expm1(u/a) / expm1((1-a)u/a)
     a = u / alpha
@@ -116,61 +116,104 @@ def _eval_st(alpha: float, t, u):
     return num / den
 
 
-def evaluate(f: PetzFunction, t):
-    """Evaluate a Petz function at t > 0 (scalar or array)."""
+class _Kind(NamedTuple):
+    """Everything the package knows about one kind of Petz function.
+
+    ``value(f, t, u)`` is f(t) for t > 0.  A ``taylor`` kind's closed form
+    degenerates at t = 1; it is called with t moved out of the Taylor window
+    and u = ln t, and 1 + (t - 1)/2 is returned inside the window.  The other fields
+    map f to f(0+), its operator-monotone classification (None when not
+    covered), its canonical spec, and the (family, alpha) Renyi index of the
+    divergence whose coincidence Hessian is its metric (None when unpaired).
+    """
+
+    value: Callable
+    taylor: bool
+    zero: Callable
+    monotone: Callable
+    spec: Callable
+    renyi: Callable
+
+
+def _fixed(value, taylor, zero, monotone, spec, renyi=None) -> _Kind:
+    """A kind without parameters: every field but the value is a constant."""
+    return _Kind(value, taylor, lambda f: zero, lambda f: monotone, lambda f: spec, lambda f: renyi)
+
+
+def _lin_monotone(f: PetzFunction) -> Optional[bool]:
+    left, right = is_operator_monotone(f.left), is_operator_monotone(f.right)
+    return True if left and right and 0.0 <= f.alpha <= 1.0 else None
+
+
+# The classification follows Petz (1996), "Monotone metrics on matrix spaces":
+# sw:a is operator monotone iff 1/a in [-1, 2], st:a iff a in [-1, 2], and an
+# affine combination of monotone functions with weight in [0, 1] is monotone.
+_KINDS = {
+    "sld": _fixed(lambda f, t, u: 0.5 * (1.0 + t), False, 0.5, True, "sld", ("sandwiched", 0.5)),
+    "bkm": _fixed(lambda f, t, u: np.expm1(u) / u, True, 0.0, True, "bkm", ("sandwiched", 1.0)),
+    "rrld": _fixed(
+        lambda f, t, u: 2.0 * t / (1.0 + t), False, 0.0, True, "rrld", ("sandwiched", -1.0)
+    ),
+    "half": _fixed(lambda f, t, u: np.sqrt(t), False, 0.0, True, "half", ("sandwiched", 2.0)),
+    "sw0+": _fixed(lambda f, t, u: np.maximum(t, 1.0), False, 1.0, False, "sw:0+"),
+    "sw0-": _fixed(lambda f, t, u: np.minimum(t, 1.0), False, 0.0, False, "sw:0-"),
+    "swinf": _fixed(lambda f, t, u: t * u / np.expm1(u), True, 0.0, True, "sw:inf"),
+    "sw": _Kind(
+        lambda f, t, u: _eval_sw(f.alpha, t, u),
+        True,
+        lambda f: 1.0 - f.alpha if 0.0 < f.alpha < 1.0 else 0.0,
+        lambda f: f.alpha <= -1.0 or f.alpha >= 0.5,
+        lambda f: f"sw:{alpha_text(f.alpha)}",
+        lambda f: ("sandwiched", f.alpha),
+    ),
+    "st": _Kind(
+        lambda f, t, u: _eval_st(f.alpha, t, u),
+        True,
+        lambda f: f.alpha * (1.0 - f.alpha) if 0.0 < f.alpha < 1.0 else 0.0,
+        lambda f: -1.0 <= f.alpha <= 2.0,
+        lambda f: f"st:{alpha_text(f.alpha)}",
+        lambda f: ("standard", f.alpha),
+    ),
+    "lin": _Kind(
+        lambda f, t, u: (1.0 - f.alpha) * evaluate(f.left, t) + f.alpha * evaluate(f.right, t),
+        False,
+        lambda f: (1.0 - f.alpha) * eval_zero(f.left) + f.alpha * eval_zero(f.right),
+        _lin_monotone,
+        lambda f: f"lin:{alpha_text(f.alpha)}:{to_spec(f.left)}:{to_spec(f.right)}",
+        lambda f: None,
+    ),
+}
+
+
+def _domain(t, taylor: bool = True):
+    """Check t > 0 and finite; returns (was scalar, t as 1-d, Taylor-window
+    mask, t moved out of the window, ln of that).  Without ``taylor`` there is
+    no window: (was scalar, t, None, t, None)."""
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
         raise DomainError("Petz functions are defined on t > 0")
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
+    if not taylor:
+        return scalar, t, None, t, None
+    near_one = np.abs(t - 1.0) < TAYLOR_WINDOW
+    safe = np.where(near_one, 2.0, t)
+    return scalar, t, near_one, safe, np.log(safe)
 
-    if f.kind == "sld":
-        out = 0.5 * (1.0 + t)
-    elif f.kind == "rrld":
-        out = 2.0 * t / (1.0 + t)
-    elif f.kind == "half":
-        out = np.sqrt(t)
-    elif f.kind == "sw0+":
-        out = np.maximum(t, 1.0)
-    elif f.kind == "sw0-":
-        out = np.minimum(t, 1.0)
-    elif f.kind == "lin":
-        out = (1.0 - f.alpha) * evaluate(f.left, t) + f.alpha * evaluate(f.right, t)
-    else:
-        # variants with a removable singularity at t = 1
-        near_one = np.abs(t - 1.0) < TAYLOR_WINDOW
-        safe = np.where(near_one, 2.0, t)
-        u = np.log(safe)
-        if f.kind == "bkm":
-            val = np.expm1(u) / u
-        elif f.kind == "swinf":
-            val = safe * u / np.expm1(u)
-        elif f.kind == "sw":
-            val = _eval_sw(f.alpha, safe, u)
-        elif f.kind == "st":
-            val = _eval_st(f.alpha, safe, u)
-        else:
-            raise ValueError(f"unknown Petz function kind {f.kind!r}")
-        out = np.where(near_one, _taylor(t), val)
 
+def evaluate(f: PetzFunction, t):
+    """Evaluate a Petz function at t > 0 (scalar or array)."""
+    kind = _KINDS[f.kind]
+    scalar, t, near_one, safe, u = _domain(t, kind.taylor)
+    out = kind.value(f, safe, u)
+    if kind.taylor:
+        out = np.where(near_one, 1.0 + 0.5 * (t - 1.0), out)
     return float(out[0]) if scalar else out
 
 
 def eval_zero(f: PetzFunction) -> float:
     """Limit of f(t) as t -> 0+; must be positive for rank-deficient metrics."""
-    if f.kind == "sld":
-        return 0.5
-    if f.kind in ("bkm", "rrld", "half", "sw0-", "swinf"):
-        return 0.0
-    if f.kind == "sw0+":
-        return 1.0
-    if f.kind == "sw":
-        return 1.0 - f.alpha if 0.0 < f.alpha < 1.0 else 0.0
-    if f.kind == "st":
-        return f.alpha * (1.0 - f.alpha) if 0.0 < f.alpha < 1.0 else 0.0
-    if f.kind == "lin":
-        return (1.0 - f.alpha) * eval_zero(f.left) + f.alpha * eval_zero(f.right)
-    raise ValueError(f"unknown Petz function kind {f.kind!r}")
+    return _KINDS[f.kind].zero(f)
 
 
 @dataclass(frozen=True)
@@ -252,16 +295,9 @@ def beta_derivative(beta: float, t) -> float:
 
     Nonnegative for all beta and t > 0 (the family increases with beta).
     """
-    if beta in (0.0, 1.0):
-        raise DomainError("beta derivative undefined at beta in {0, 1}")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
-        raise DomainError("requires t > 0")
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    near_one = np.abs(t - 1.0) < TAYLOR_WINDOW
-    safe = np.where(near_one, 2.0, t)
-    u = np.log(safe)
+    if not np.isfinite(beta) or beta in (0.0, 1.0):
+        raise DomainError(f"beta derivative undefined at beta = {beta}")
+    scalar, _, near_one, safe, u = _domain(t)
     num = np.expm1(beta * u) * np.expm1((beta - 1.0) * u) + beta * (1.0 - beta) * safe ** (
         beta - 1.0
     ) * u * (safe - 1.0)
@@ -271,26 +307,16 @@ def beta_derivative(beta: float, t) -> float:
 
 
 def is_operator_monotone(f: PetzFunction) -> Optional[bool]:
-    """Known operator-monotonicity classification (None when not covered).
+    """Known operator-monotonicity classification (None when not covered)."""
+    return _KINDS[f.kind].monotone(f)
 
-    sw family: monotone iff 1/alpha in [-1, 2], i.e. alpha in (-inf,-1] u [1/2,inf).
-    st family: monotone iff alpha in [-1, 2].  Affine combinations of monotone
-    functions with weight in [0, 1] are monotone.
+
+def renyi_index(f: PetzFunction) -> Optional[Tuple[str, float]]:
+    """("sandwiched" or "standard", alpha) of the Renyi divergence paired with f.
+
+    Its coincidence Hessian is the metric of f; None when f has no pairing.
     """
-    if f.kind in ("sld", "bkm", "rrld", "half", "swinf"):
-        return True
-    if f.kind in ("sw0+", "sw0-"):
-        return False
-    if f.kind == "sw":
-        return f.alpha <= -1.0 or f.alpha >= 0.5
-    if f.kind == "st":
-        return -1.0 <= f.alpha <= 2.0
-    if f.kind == "lin":
-        lm, rm = is_operator_monotone(f.left), is_operator_monotone(f.right)
-        if lm and rm and 0.0 <= f.alpha <= 1.0:
-            return True
-        return None
-    return None
+    return _KINDS[f.kind].renyi(f)
 
 
 def parse(text: str) -> PetzFunction:
@@ -308,38 +334,21 @@ def parse(text: str) -> PetzFunction:
 
     def number(tok: str) -> float:
         try:
-            value = float(tok)
+            return float(tok)
         except ValueError:
-            value = np.nan
-        if not np.isfinite(value):
-            raise ParseError(f"expected a finite number in metric spec {text!r}, got {tok!r}")
-        return value
+            raise ParseError(f"expected a number in metric spec {text!r}, got {tok!r}") from None
 
     def parse_one() -> PetzFunction:
         head = take()
-        if head == "sld":
-            return SLD
-        if head == "bkm":
-            return BKM
-        if head == "rrld":
-            return RRLD
-        if head == "half":
-            return HALF
-        if head == "sw":
-            arg = take()
-            if arg == "0+":
-                return ZERO_PLUS
-            if arg == "0-":
-                return ZERO_MINUS
-            if arg == "inf":
-                return INFINITY
-            return sandwiched(number(arg))
-        if head == "st":
-            return standard(number(take()))
+        if head in _NAMED:
+            return _NAMED[head]
         if head == "lin":
             alpha = number(take())
             return linear(alpha, parse_one(), parse_one())
-        raise ParseError(f"unknown metric spec {text!r}")
+        if head not in _FAMILIES:
+            raise ParseError(f"unknown metric spec {text!r}")
+        arg = take()
+        return _NAMED.get(f"{head}:{arg}") or _FAMILIES[head](number(arg))
 
     try:
         result = parse_one()
@@ -358,18 +367,8 @@ def alpha_text(alpha: float) -> str:
 
 def to_spec(f: PetzFunction) -> str:
     """Inverse of parse (canonical form)."""
-    if f.kind in ("sld", "bkm", "rrld", "half"):
-        return f.kind
-    if f.kind == "sw0+":
-        return "sw:0+"
-    if f.kind == "sw0-":
-        return "sw:0-"
-    if f.kind == "swinf":
-        return "sw:inf"
-    if f.kind == "sw":
-        return f"sw:{alpha_text(f.alpha)}"
-    if f.kind == "st":
-        return f"st:{alpha_text(f.alpha)}"
-    if f.kind == "lin":
-        return f"lin:{alpha_text(f.alpha)}:{to_spec(f.left)}:{to_spec(f.right)}"
-    raise ValueError(f.kind)
+    return _KINDS[f.kind].spec(f)
+
+
+_NAMED = {to_spec(f): f for f in (SLD, BKM, RRLD, HALF, ZERO_PLUS, ZERO_MINUS, INFINITY)}
+_FAMILIES = {"sw": sandwiched, "st": standard}

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NumericalError, ShapeMismatchError
+from .errors import NotHermitianError, NumericalError, ShapeMismatchError
 from .linalg import HermitianEig, hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -47,15 +47,14 @@ def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> HermitianEig:
     holds the (..., d) values and (..., d, d) vectors of one stacked ``eigh``.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ShapeMismatchError(f"expected a square matrix, got {rho.shape}")
-    if np.abs(rho - rho.conj().swapaxes(-1, -2)).max() > tol:
-        raise NumericalError("density operator is not Hermitian")
+    try:
+        eig = hermitian_eig(rho, tol)
+    except NotHermitianError:
+        raise NumericalError("density operator is not Hermitian") from None
     trace = np.trace(rho, axis1=-2, axis2=-1)
     off = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
     if off.max() > tol:
         raise NumericalError(f"density operator has trace {trace.flat[off.argmax()]}")
-    eig = hermitian_eig(rho, tol)
     if eig.values[..., 0].min() < -tol:
         raise NumericalError("density operator has a negative eigenvalue")
     return eig
@@ -194,12 +193,5 @@ def regularize_state(rho: np.ndarray, delta: float) -> np.ndarray:
 
 def linear_family(rho: np.ndarray, tangents: Sequence[np.ndarray]):
     """theta |-> rho + sum_k theta_k X_k; the canonical family with fixed m-reps."""
-    tangents = [np.asarray(x, dtype=complex) for x in tangents]
-
-    def family(theta: np.ndarray) -> np.ndarray:
-        out = rho.astype(complex).copy()
-        for coef, x in zip(np.asarray(theta, dtype=float), tangents):
-            out = out + coef * x
-        return out
-
-    return family
+    tangents = np.asarray(tangents, dtype=complex)
+    return lambda theta: rho + np.tensordot(np.asarray(theta, dtype=float), tangents, axes=1)

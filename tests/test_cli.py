@@ -264,6 +264,38 @@ def test_failed_sweep_writes_no_csv(tmp_path):
     assert os.listdir(outdir) == []
 
 
+def test_failed_write_leaves_the_old_csv(tmp_path, monkeypatch):
+    def trajectory(cost):
+        return optimizer.Trajectory([optimizer.TrajectoryRecord(0, np.zeros(3), cost, 0.5, 2.0)])
+
+    path = tmp_path / "run.csv"
+    cli.write_csv(str(path), trajectory(1.0))
+    before = path.read_bytes()
+    assert before == b"step,cost,grad_norm,metric_cond\n0,1,0.5,2\n"
+
+    class HalfWrite:
+        """A file whose write stores half its text, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        cli.write_csv(str(path), trajectory(0.25))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["run.csv"]
+
+
 def test_properties_bad_seed_env_is_a_config_error(monkeypatch):
     monkeypatch.setenv(cli.SEED_ENV, "abc")
     assert cli.main(["properties", "--samples", "5"]) == 2

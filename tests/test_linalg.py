@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qngm import linalg
-from qngm.errors import DomainError, NotHermitianError, ShapeMismatchError, SingularError
+from qngm.errors import NotHermitianError, ShapeMismatchError, SingularError
 
 
 def random_hermitian(rng, dim):
@@ -43,29 +43,6 @@ def test_eig_rejects_non_hermitian():
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
         linalg.hermitian_eig(np.zeros((2, 3)))
-
-
-def test_matrix_fn_examples():
-    np.testing.assert_allclose(
-        linalg.matrix_fn(np.diag([4.0, 9.0]), np.sqrt), np.diag([2.0, 3.0]), atol=1e-14
-    )
-    m = random_hermitian(np.random.default_rng(1), 3)
-    np.testing.assert_allclose(linalg.matrix_fn(m, lambda x: x), m, atol=1e-13)
-    np.testing.assert_allclose(linalg.matrix_fn(np.eye(3), np.log), np.zeros((3, 3)), atol=1e-14)
-
-
-def test_matrix_fn_domain_error():
-    with pytest.raises(DomainError):
-        linalg.matrix_fn(np.diag([1.0, 0.0]), np.log)
-
-
-def test_matrix_fn_composition():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    psd = a @ a.conj().T / 4
-    squared = linalg.matrix_fn(psd, np.square)
-    back = linalg.matrix_fn(squared, np.sqrt)
-    assert np.abs(back - psd).max() < 1e-10
 
 
 def test_solve_sym_examples():

@@ -216,6 +216,9 @@ def test_beta_derivative_edges():
         petz.beta_derivative(1.0, 2.0)
     with pytest.raises(DomainError):
         petz.beta_derivative(2.0, -1.0)
+    for beta, t in ((2.0, np.nan), (2.0, np.inf), (2.0, [0.5, np.nan]), (np.nan, 2.0), (np.inf, 2.0)):
+        with pytest.raises(DomainError):
+            petz.beta_derivative(beta, t)
 
 
 def test_parse_round_trip():
@@ -231,6 +234,18 @@ def test_parse_errors():
     for text in ("", "sw", "sw:0", "sw:zzz", "lin:0.5:rrld", "foo", "sld:1", "st:", *non_finite):
         with pytest.raises(ParseError):
             petz.parse(text)
+
+
+def test_constructors_reject_non_finite_alpha():
+    for alpha in (np.nan, np.inf, -np.inf):
+        for build in (petz.sandwiched, petz.standard, lambda a: petz.linear(a, petz.SLD, petz.RRLD)):
+            with pytest.raises(DomainError, match="must be finite"):
+                build(alpha)
+
+
+def test_every_kind_is_in_the_registry():
+    # a kind added to the table must also be added to REGISTRY, and so to the tests above
+    assert set(petz._KINDS) == {f.kind for f in REGISTRY}
 
 
 def test_linear_rejects_non_positive_combinations():

@@ -51,9 +51,8 @@ def test_experiment_state_sld_vs_sandwiched_half_hessian():
     theta0 = np.array([np.pi / 2, np.pi / 2, np.pi / 4])
     rho = states.evaluate(circ, theta0)
     g = qfim.metric(rho, states.derivatives(circ, theta0), petz.SLD)
-    hess = divergence.fd_hessian(
-        divergence.circuit_divergence(("sw", 0.5), circ, theta0), theta0, h=1e-3
-    )
+    div = lambda theta: divergence.sandwiched_renyi(states.evaluate(circ, theta), rho, 0.5)
+    hess = divergence.fd_hessian(div, theta0, h=1e-3)
     assert np.linalg.norm(hess - g) / np.linalg.norm(g) < 1e-3
 
 

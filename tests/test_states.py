@@ -268,3 +268,12 @@ def test_linear_family():
     x = np.array([[0.1, 0.2], [0.2, -0.1]], dtype=complex)
     fam = states.linear_family(rho, [x])
     np.testing.assert_allclose(fam(np.array([0.5])), rho + 0.5 * x)
+    # three tangents against the former accumulation loop; the sum's order
+    # differs, so equal within a few ulps of the entries, not bit for bit
+    rho = qfim.random_density(rng, 4)
+    xs = [qfim.random_tangent(rng, 4) for _ in range(3)]
+    theta = rng.normal(size=3)
+    loop = rho.copy()
+    for coef, x in zip(theta, xs):
+        loop = loop + coef * x
+    np.testing.assert_allclose(states.linear_family(rho, xs)(theta), loop, rtol=0, atol=1e-15)
