@@ -146,15 +146,16 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"experiment {config.experiment!r} not in {tuple(EXPERIMENTS)}")
     if config.rule not in optimizer.RULES:
         problems.append(f"rule {config.rule!r} must be " + " or ".join(map(repr, optimizer.RULES)))
-    for name, value in (("delta", config.delta), ("xi", config.xi)):
-        if not 0.0 <= value < 1.0:
+    for name, kind in _FIELD_TYPES.items():
+        value = getattr(config, name)
+        if kind is float and not np.isfinite(value):
+            problems.append(f"{name} = {value} must be finite")
+        elif name in ("delta", "xi") and not 0.0 <= value < 1.0:
             problems.append(f"{name} = {value} outside [0, 1)")
-    for name in ("epsilon", "eta", "rank_tol"):
-        if getattr(config, name) <= 0.0:
-            problems.append(f"{name} = {getattr(config, name)} must be positive")
-    for name in ("steps", "grad_tol"):
-        if getattr(config, name) < 0:
-            problems.append(f"{name} = {getattr(config, name)} must be >= 0")
+        elif name in ("epsilon", "eta", "rank_tol") and value <= 0.0:
+            problems.append(f"{name} = {value} must be positive")
+        elif name in ("steps", "grad_tol") and value < 0:
+            problems.append(f"{name} = {value} must be >= 0")
     for spec in [config.metric, *map(_sweep_spec, config.sweep_alpha or ())]:
         try:
             petz.parse(spec)
@@ -268,8 +269,9 @@ def write_csv(path: str, trajectory: optimizer.Trajectory) -> None:
 def run_experiment(config: ExperimentConfig) -> List[str]:
     """Run one experiment (or an alpha sweep) and write CSV trajectories.
 
-    A sweep runs its alphas in sequence and writes no CSV unless every
-    alpha finishes.
+    A sweep runs its alphas in lockstep, as one ``optimizer.run`` over the
+    stack of their Petz functions, and writes no CSV unless every alpha
+    finishes; an abort reports the first failing alpha.
     """
     started = time.perf_counter()
     if config.sweep_alpha:
@@ -282,26 +284,24 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
     else:
         jobs = [(config.metric, config.out)]
     circuit, cost, theta0 = build_experiment(config)
-    trajectories = []
-    for spec, _ in jobs:
-        traj = optimizer.run(
-            circuit,
-            cost,
-            petz.parse(spec),
-            theta0,
-            rule=config.rule,
-            eta=config.eta,
-            epsilon=config.epsilon,
-            delta=config.delta,
-            xi=config.xi,
-            rank_tol=config.rank_tol,
-            max_steps=config.steps,
-            grad_tol=config.grad_tol,
-            use_diagonal=config.diagonal,
-        )
+    trajectories = optimizer.run(
+        circuit,
+        cost,
+        [petz.parse(spec) for spec, _ in jobs],
+        theta0,
+        rule=config.rule,
+        eta=config.eta,
+        epsilon=config.epsilon,
+        delta=config.delta,
+        xi=config.xi,
+        rank_tol=config.rank_tol,
+        max_steps=config.steps,
+        grad_tol=config.grad_tol,
+        use_diagonal=config.diagonal,
+    )
+    for traj in trajectories:
         if traj.error is not None:
             raise NumericalError(f"run aborted after {len(traj.records)} records: {traj.error}")
-        trajectories.append(traj)
     for (_, path), traj in zip(jobs, trajectories):
         write_csv(path, traj)
     elapsed = time.perf_counter() - started

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,14 @@ class HermitianEig(NamedTuple):
 
     values: np.ndarray
     vectors: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int, dtype=float) -> np.ndarray:
+    """np.eye(dim, dtype=dtype), cached, so returned read-only."""
+    eye = np.eye(dim, dtype=dtype)
+    eye.setflags(write=False)
+    return eye
 
 
 def _dagger(M: np.ndarray) -> np.ndarray:
@@ -38,24 +47,38 @@ def hermitian_eig(M: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
 
 
 def solve_sym(G: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve G x = b for symmetric positive-definite G."""
+    """Solve G x = b for symmetric positive-definite G.
+
+    G may be a (N, K, K) stack with b (N, K); the N solutions equal N
+    single calls bit for bit.
+    """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    if G.ndim != 2 or G.shape[0] != G.shape[1]:
+    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {G.shape}")
-    if b.shape != (G.shape[0],):
+    if b.shape != G.shape[:-1]:
         raise ShapeMismatchError(f"rhs shape {b.shape} incompatible with {G.shape}")
-    if np.abs(G - G.T).max() > HERMITIAN_TOL:
+    if np.abs(G - G.swapaxes(-1, -2)).max() > HERMITIAN_TOL:
         raise NotHermitianError("matrix is not symmetric")
     w = np.linalg.eigvalsh(G)
-    if w[0] <= 1e-14 * max(w[-1], 0.0):
-        raise SingularError(f"min/max eigenvalue ratio {w[0]:.3e}/{w[-1]:.3e}")
-    return np.linalg.solve(G, b)
+    # w[0] <= 1e-14 max(w[-1], 0): a non-positive w[-1] makes w[0] <= w[-1] <= 1e-14 w[-1]
+    singular = w[..., 0] <= 1e-14 * w[..., -1]
+    if singular.any():
+        lo, hi = w[singular][0, [0, -1]]
+        raise SingularError(f"min/max eigenvalue ratio {lo:.3e}/{hi:.3e}")
+    return np.linalg.solve(G, b[..., None])[..., 0]
 
 
-def condition_number(G: np.ndarray) -> float:
-    """Spectral condition number of a symmetric PSD matrix (inf if singular)."""
+def condition_number(G: np.ndarray):
+    """Spectral condition number of a symmetric PSD matrix (inf if singular).
+
+    A float for one matrix; an (N,) array for a (N, K, K) stack.
+    """
     w = np.linalg.eigvalsh(np.asarray(G, dtype=float))
-    if w[0] <= 0.0:
-        return np.inf
-    return float(w[-1] / w[0])
+    lo, hi = w[..., 0], w[..., -1]
+    singular = lo <= 0.0
+    if singular.any():
+        cond = np.where(singular, np.inf, hi) / np.where(singular, 1.0, lo)
+    else:
+        cond = hi / lo
+    return float(cond) if cond.ndim == 0 else cond

@@ -8,6 +8,10 @@ Two update rules share the preconditioned direction G^{-1} grad L:
 Per step the state is delta-regularized before the metric is assembled
 (derivatives scale by 1 - delta, exactly) and the metric is xi-regularized
 after assembly.  Cost and gradient are those of the bare circuit state.
+
+Every step function takes one member or a stack of N along a leading axis,
+and a stack gives each member the bits of its single call; ``run`` steps N
+Petz functions in lockstep as one stack.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import petz, qfim, states
 from .errors import NumericalError, QngmError, ShapeMismatchError
-from .linalg import condition_number, solve_sym
+from .linalg import HERMITIAN_TOL, condition_number, solve_sym
 
 GRAD_ZERO = 1e-10
 RULES = ("trust", "lr")
@@ -38,52 +42,88 @@ class Observable:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        h = np.asarray(self.matrix, dtype=complex)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ShapeMismatchError(f"observable shape {h.shape} is not square")
+        with np.errstate(invalid="ignore"):  # an inf entry leaves a nan residue, which passes
+            residue = np.abs(h - h.conj().T).max()
+        if residue > HERMITIAN_TOL:
+            raise ShapeMismatchError("observable must be Hermitian for a real-valued cost")
+
 
 CostFunction = Union[StateDistance, Observable]
+
+
+def _check_cost(cost: CostFunction, dim: int) -> None:
+    """An observable must act on the circuit's (dim, dim) states."""
+    if isinstance(cost, Observable) and np.shape(cost.matrix) != (dim, dim):
+        raise ShapeMismatchError(f"observable shape {np.shape(cost.matrix)} vs state {(dim, dim)}")
 
 
 def cost_and_gradient(
     cost: CostFunction, rho: np.ndarray, derivs: Sequence[np.ndarray]
 ) -> Tuple[float, np.ndarray]:
-    """L and dL/dtheta^k from the state rho and its (K, d, d) derivatives d rho / d theta^k."""
+    """L and dL/dtheta^k from the state rho and its (K, d, d) derivatives d rho / d theta^k.
+
+    For a stack, rho is (N, d, d) and derivs (N, K, d, d); L is then (N,)
+    and the gradient (N, K).  ``run`` checks the cost's shape once.
+    """
     derivs = np.asarray(derivs, dtype=complex)
     if isinstance(cost, StateDistance):
         diff = rho - cost.target
-        value = float(np.vdot(diff, diff).real)
-        grad = 2.0 * np.einsum("kij,ij->k", derivs, diff.conj()).real
+        flat = diff.reshape(*diff.shape[:-2], -1)
+        value = np.vecdot(flat, flat).real  # per member, the BLAS dot of np.vdot
+        grad = 2.0 * np.einsum("...kij,...ij->...k", derivs, diff.conj()).real
     elif isinstance(cost, Observable):
         h = np.asarray(cost.matrix, dtype=complex)
-        if h.shape != rho.shape:
-            raise ShapeMismatchError(f"observable shape {h.shape} vs state {rho.shape}")
-        if np.abs(h - h.conj().T).max() > 1e-10:
-            raise ShapeMismatchError("observable must be Hermitian for a real-valued cost")
-        value = float(np.trace(rho @ h).real)
-        grad = np.einsum("kij,ji->k", derivs, h).real
+        value = np.trace(rho @ h, axis1=-2, axis2=-1).real
+        grad = np.ascontiguousarray(np.einsum("...kij,ji->...k", derivs, h).real)
     else:
         raise TypeError(f"unknown cost function {cost!r}")
-    return value, grad
+    return (float(value), grad) if value.ndim == 0 else (value, grad)
 
 
-def step_trust(
-    G: np.ndarray, grad: np.ndarray, epsilon: float
-) -> Tuple[np.ndarray, bool]:
-    """Trust-region step; returns (dtheta, converged)."""
+def _norm(grad: np.ndarray) -> np.ndarray:
+    """|grad| of each row, with the bits of np.linalg.norm on that row alone.
+
+    Both are the square root of one BLAS dot of a contiguous row; an einsum,
+    a norm along an axis or BLAS's dot of a strided row sums in another
+    order, so the gradients here are kept contiguous.
+    """
+    return np.sqrt(np.vecdot(grad, grad))
+
+
+def _step(G: np.ndarray, grad: np.ndarray, move):
+    """(dtheta, converged) for one member or a stack.
+
+    A member with |grad| < GRAD_ZERO has converged and gets a zero step
+    without a solve; the others get move(grad, G^{-1} grad).
+    """
+    G, grad = np.asarray(G, dtype=float), np.ascontiguousarray(grad, dtype=float)
+    converged = _norm(grad) < GRAD_ZERO
+    if not converged.any():
+        return move(grad, solve_sym(G, grad)), converged
+    dtheta = np.zeros_like(grad)
+    moving = ~converged
+    if moving.any():
+        g = grad[moving]
+        dtheta[moving] = move(g, solve_sym(G[moving], g))
+    return dtheta, converged
+
+
+def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> Tuple[np.ndarray, bool]:
+    """Trust-region step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    if np.linalg.norm(grad) < GRAD_ZERO:
-        return np.zeros_like(grad), True
-    direction = solve_sym(G, grad)
-    scale = np.sqrt(2.0 * epsilon / float(grad @ direction))
-    return -scale * direction, False
+    return _step(G, grad, lambda g, d: -np.sqrt(2.0 * epsilon / np.vecdot(g, d))[..., None] * d)
 
 
 def step_lr(G: np.ndarray, grad: np.ndarray, eta: float) -> Tuple[np.ndarray, bool]:
-    """Fixed learning-rate step; returns (dtheta, converged)."""
+    """Fixed learning-rate step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
     if eta <= 0.0:
         raise ValueError("eta must be positive")
-    if np.linalg.norm(grad) < GRAD_ZERO:
-        return np.zeros_like(grad), True
-    return -eta * solve_sym(G, grad), False
+    return _step(G, grad, lambda g, d: -eta * d)
 
 
 @dataclass(frozen=True)
@@ -110,10 +150,38 @@ class Trajectory:
         return np.array([r.cost for r in self.records])
 
 
+def _lockstep(fn, members: List[int], trajectories: List[Trajectory]):
+    """fn(rows) for every member at once, rows indexing ``members``.
+
+    If that raises a QngmError, fn runs on each member alone, as a run of
+    that member alone would, and a member that fails there leaves with its
+    error.  Returns the rows kept (None for all of them) and fn's outputs
+    for those rows.
+    """
+    try:
+        return None, fn(slice(None))
+    except QngmError:
+        pass
+    kept, outputs = [], []
+    for row, member in enumerate(members):
+        try:
+            outputs.append(fn(slice(row, row + 1)))
+        except QngmError as exc:
+            trajectories[member].error = f"{type(exc).__name__}: {exc}"
+        else:
+            kept.append(row)
+    return kept, tuple(map(np.concatenate, zip(*outputs))) if kept else None
+
+
+def _keep(rows, live: List[int], *stacks):
+    """The members at ``rows`` of live, and the same rows of each stack."""
+    return ([live[i] for i in rows], *(stack[rows] for stack in stacks))
+
+
 def run(
     state: states.CircuitState,
     cost: CostFunction,
-    f: petz.PetzFunction,
+    f: Union[petz.PetzFunction, Sequence[petz.PetzFunction]],
     theta0: Sequence[float],
     rule: str = "lr",
     eta: float = 1e-3,
@@ -124,43 +192,82 @@ def run(
     max_steps: int = 2000,
     grad_tol: float = 1e-10,
     use_diagonal: bool = False,
-) -> Trajectory:
+) -> Union[Trajectory, List[Trajectory]]:
     """Iterate the chosen update rule, recording one row per visited theta.
 
-    Any package error aborts the run and is reported on the trajectory's
-    ``error`` tag together with the records accumulated so far.
+    ``f`` is one Petz function, which gives one Trajectory, or a sequence
+    of N, which gives N.  The N runs start at the same theta0 and step in
+    lockstep as one stack, and a single run is a stack of one.  Each
+    member's records equal those of its run alone, bit for bit.  A member
+    leaves the stack when it converges or aborts.  Any package error aborts
+    a member's run and is reported on its trajectory's ``error`` tag
+    together with the records accumulated so far.
     """
     if rule not in RULES:
         raise ValueError(f"unknown update rule {rule!r}")
-    theta = np.asarray(theta0, dtype=float).copy()
-    traj = Trajectory()
+    single = isinstance(f, petz.PetzFunction)
+    fs = [f] if single else list(f)
+    trajectories = [Trajectory() for _ in fs]
+    # the members still stepping: member live[i] is at theta[i]
+    live = list(range(len(fs)))
+    theta = np.repeat(np.asarray(theta0, dtype=float)[None], len(fs), axis=0)
     try:
-        for step in range(max_steps + 1):
-            if not np.all(np.isfinite(theta)):
-                raise NumericalError(f"non-finite theta at step {step}")
-            rho = states.evaluate(state, theta)
-            derivs = states.derivatives(state, theta)
-            rho_reg = states.regularize_state(rho, delta)
-            G = qfim.metric(rho_reg, (1.0 - delta) * derivs, f, rank_tol)
-            if use_diagonal:
-                G = qfim.diagonal(G)
-            G = qfim.regularize_metric(G, xi)
-            value, grad = cost_and_gradient(cost, rho, derivs)
-            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-                raise NumericalError(f"non-finite cost or gradient at step {step}")
-            grad_norm = float(np.linalg.norm(grad))
-            traj.records.append(
-                TrajectoryRecord(step, theta.copy(), value, grad_norm, condition_number(G))
-            )
-            if step == max_steps or grad_norm < grad_tol:
-                break
-            if rule == "trust":
-                dtheta, converged = step_trust(G, grad, epsilon)
-            else:
-                dtheta, converged = step_lr(G, grad, eta)
-            if converged:
-                break
-            theta = theta + dtheta
+        _check_cost(cost, len(state.initial))
     except QngmError as exc:
-        traj.error = f"{type(exc).__name__}: {exc}"
-    return traj
+        for traj in trajectories:
+            traj.error = f"{type(exc).__name__}: {exc}"
+        live = []
+
+    def measure(rows):
+        th = theta[rows]
+        if not np.isfinite(th).all():
+            raise NumericalError(f"non-finite theta at step {step}")
+        rho = states.evaluate(state, th)
+        derivs = states.derivatives(state, th)
+        rho_reg = states.regularize_state(rho, delta)
+        G = qfim.metric(rho_reg, (1.0 - delta) * derivs, live_fs[rows], rank_tol)
+        if use_diagonal:
+            G = qfim.diagonal(G)
+        G = qfim.regularize_metric(G, xi)
+        value, grad = cost_and_gradient(cost, rho, derivs)
+        if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+            raise NumericalError(f"non-finite cost or gradient at step {step}")
+        return G, grad, value, _norm(grad), condition_number(G)
+
+    def advance(rows):
+        if rule == "trust":
+            return step_trust(G[rows], grad[rows], epsilon)
+        return step_lr(G[rows], grad[rows], eta)
+
+    for step in range(max_steps + 1):
+        if not live:
+            break
+        live_fs = [fs[m] for m in live]
+        rows, measured = _lockstep(measure, live, trajectories)
+        if rows is not None:
+            live, theta = _keep(rows, live, theta)
+            if not live:
+                break
+        G, grad, value, grad_norm, cond = measured
+        for i, member in enumerate(live):
+            record = TrajectoryRecord(
+                step, theta[i].copy(), float(value[i]), float(grad_norm[i]), float(cond[i])
+            )
+            trajectories[member].records.append(record)
+        if step == max_steps:
+            break
+        stopped = grad_norm < grad_tol
+        if stopped.any():
+            live, theta, G, grad = _keep(np.flatnonzero(~stopped), live, theta, G, grad)
+            if not live:
+                break
+        rows, stepped = _lockstep(advance, live, trajectories)
+        if rows is not None:
+            live, theta = _keep(rows, live, theta)
+            if not live:
+                break
+        dtheta, converged = stepped
+        if converged.any():
+            live, theta, dtheta = _keep(np.flatnonzero(~converged), live, theta, dtheta)
+        theta = theta + dtheta
+    return trajectories[0] if single else trajectories

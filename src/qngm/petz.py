@@ -190,10 +190,11 @@ def _domain(t, taylor: bool = True):
     mask, t moved out of the window, ln of that).  Without ``taylor`` there is
     no window: (was scalar, t, None, t, None)."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
+    if not ((0.0 < t) & (t < np.inf)).all():  # nan fails both
         raise DomainError("Petz functions are defined on t > 0")
     scalar = t.ndim == 0
-    t = np.atleast_1d(t)
+    if scalar:
+        t = t.reshape(1)
     if not taylor:
         return scalar, t, None, t, None
     near_one = np.abs(t - 1.0) < TAYLOR_WINDOW

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     QngmError,
     ShapeMismatchError,
 )
+from .linalg import _identity
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density
 
 RANK_TOL = 1e-9
@@ -39,7 +40,7 @@ _CHUNK = 100
 def metric(
     rho: np.ndarray,
     tangents: Sequence[np.ndarray],
-    f: petz.PetzFunction,
+    f: Union[petz.PetzFunction, Sequence[petz.PetzFunction]],
     rank_tol: float = RANK_TOL,
 ) -> np.ndarray:
     """Quantum Fisher metric matrix for the given tangents (m-representations).
@@ -47,11 +48,18 @@ def metric(
     For one state, rho is (d, d) and ``tangents`` a sequence of (d, d)
     matrices or one (K, d, d) array; the result is (K, K).  For a stack of
     N states, rho is (N, d, d), ``tangents`` is (N, K, d, d) and the result
-    is (N, K, K), equal bit for bit to N single calls: one stacked ``eigh``,
-    one ``petz.evaluate`` and one batched GEMM serve the whole stack.
+    is (N, K, K), equal bit for bit to N single calls: one stacked ``eigh``
+    and one batched GEMM serve the whole stack.  ``f`` is one Petz function
+    for every member, or a sequence of N, one per member.
     """
     p, v = check_density(rho)  # p is (..., d), v is (..., d, d)
     batch, dim = p.shape[:-1], p.shape[-1]
+    if not isinstance(f, petz.PetzFunction):
+        f = list(f)
+        if batch != (len(f),):
+            raise ShapeMismatchError(f"{len(f)} Petz functions for states {np.shape(rho)}")
+        if len(set(map(id, f))) == 1:  # one function for the whole stack
+            f = f[0]
     try:
         x = np.asarray(tangents, dtype=complex)
     except ValueError:  # a ragged list
@@ -66,15 +74,18 @@ def metric(
     small = p < rank_tol
     deficient = small.any()  # full-rank states skip the kernel handling
     if deficient:
-        f0 = petz.eval_zero(f)
-        if f0 <= 0.0:
+        f0 = np.broadcast_to(_per_member(petz.eval_zero, f), batch)
+        member_deficient = small.any(axis=-1)
+        undefined = member_deficient & (f0 <= 0.0)
+        if undefined.any():
             raise MetricUndefinedError(
-                f"state is rank-deficient below tol {rank_tol:.1e} and f(0) = {f0}; "
+                f"state is rank-deficient below tol {rank_tol:.1e} and f(0) = {f0[undefined][0]}; "
                 "a Petz function with f(0) > 0 is required"
             )
+        f0 = np.where(member_deficient, f0, 1.0)[..., None, None]
         p = np.where(small, 1.0, p)  # a placeholder: weights touching the kernel are set below
     ratios = p[..., :, None] / p[..., None, :]
-    weights = 1.0 / (p[..., None, :] * petz.evaluate(f, ratios))
+    weights = 1.0 / (p[..., None, :] * _per_member(petz.evaluate, f, ratios))
     if deficient:
         small_i, small_j = small[..., :, None], small[..., None, :]
         # one index in the kernel: denominator continues to p_big * f(0)
@@ -102,6 +113,14 @@ def metric(
     return 0.5 * (g + g.swapaxes(-1, -2))
 
 
+def _per_member(fn, f, *args):
+    """fn(f, *args) for one Petz function; for a sequence, fn of each
+    function on its member's slice of args, stacked."""
+    if isinstance(f, petz.PetzFunction):
+        return fn(f, *args)
+    return np.array([fn(g, *(arg[n] for arg in args)) for n, g in enumerate(f)])
+
+
 def metric_pure(
     psi: np.ndarray, dpsi: Sequence[np.ndarray], f: petz.PetzFunction
 ) -> np.ndarray:
@@ -121,16 +140,17 @@ def metric_pure(
 
 
 def diagonal(G: np.ndarray) -> np.ndarray:
-    """Zero the off-diagonal entries."""
-    return np.diag(np.diag(np.asarray(G, dtype=float)))
+    """Zero the off-diagonal entries of G, or of each member of a (N, K, K) stack."""
+    G = np.asarray(G, dtype=float)
+    return np.where(np.eye(G.shape[-1], dtype=bool), G, 0.0)
 
 
 def regularize_metric(G: np.ndarray, xi: float) -> np.ndarray:
-    """(1 - xi) G + xi I."""
+    """(1 - xi) G + xi I, for one metric or a (N, K, K) stack."""
     G = np.asarray(G, dtype=float)
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi = {xi} outside [0, 1]")
-    return (1.0 - xi) * G + xi * np.eye(G.shape[0])
+    return (1.0 - xi) * G + xi * _identity(G.shape[-1])
 
 
 def check_kraus(kraus: Sequence[np.ndarray], tol: float = KRAUS_TOL) -> np.ndarray:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotHermitianError, NumericalError, ShapeMismatchError
-from .linalg import HermitianEig, hermitian_eig
+from .linalg import HermitianEig, _identity, hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,6 +99,39 @@ class CircuitState:
             if g.param is not None and not 0 <= g.param < self.n_params:
                 raise ShapeMismatchError(f"gate {g} uses parameter index outside [0, n_params)")
 
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        """The per-circuit constants of the two circuit passes, built on first use."""
+        rz = [g for g in self.gates if g.kind == "rz"]
+        z = [-1j * np.diagonal(pauli_on(self.n_qubits, g.wire, "z")).real for g in rz]
+        rotations = [g for g in reversed(self.gates) if g.param is not None]
+        params = [g.param for g in rotations]
+        gens = [gate_generator(self, g)[None] for g in rotations]
+        return _Plan(
+            np.array([g.param for g in rz], dtype=int),
+            np.array(z).reshape(len(rz), 1, 2**self.n_qubits),
+            np.array(params, dtype=int),
+            np.array(gens).reshape(len(rotations), 1, *self.initial.shape),
+            len(set(params)) == len(params),
+        )
+
+
+class _Plan(NamedTuple):
+    """What the passes need of a circuit beyond theta.
+
+    ``rz_params`` and ``rz_z`` (R, 1, d) are the parameter and -i times the
+    diagonal of Z on the wire of each rz gate, in gate order.  ``params`` and ``gens``
+    (R', 1, d, d) are the parameter and generator of each rotation in reverse
+    gate order, the order of the backward sweep; ``distinct`` says that no
+    parameter repeats.
+    """
+
+    rz_params: np.ndarray
+    rz_z: np.ndarray
+    params: np.ndarray
+    gens: np.ndarray
+    distinct: bool
+
 
 def r3_gates(wire: int, first_param: int) -> Tuple[Gate, ...]:
     """Euler rotation Rz(t3) Ry(t2) Rz(t1) as a gate triple (t1 applied first)."""
@@ -130,14 +163,17 @@ _GENERATORS = {"rz": "z", "ry": "y"}
 
 
 def gate_unitary(state: CircuitState, gate: Gate, theta: np.ndarray) -> np.ndarray:
-    """The gate's matrix; a rotation is cos(phi/2) I - i sin(phi/2) G."""
+    """The gate's matrix; a rotation is cos(phi/2) I - i sin(phi/2) G.
+
+    For a (N, K) stack of theta a rotation is (N, d, d); a cnot is (d, d).
+    """
     if gate.kind == "cnot":
         return _cnot(state.n_qubits, gate.wire, gate.target)
     if gate.kind not in _GENERATORS:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
-    half = 0.5 * theta[gate.param]
+    half = 0.5 * np.asarray(theta)[..., gate.param, None, None]
     g = gate_generator(state, gate)
-    return np.cos(half) * np.eye(len(g)) - 1j * np.sin(half) * g
+    return np.cos(half) * _identity(len(g)) - 1j * np.sin(half) * g
 
 
 def gate_generator(state: CircuitState, gate: Gate) -> np.ndarray:
@@ -146,20 +182,41 @@ def gate_generator(state: CircuitState, gate: Gate) -> np.ndarray:
 
 
 def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
+    """theta as a (N, K) stack; a (K,) theta is a stack of one."""
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (state.n_params,):
-        raise ShapeMismatchError(f"theta shape {theta.shape}, expected ({state.n_params},)")
-    return theta
+    row = theta.shape[1:] if theta.ndim > 1 else theta.shape
+    if row != (state.n_params,):
+        raise ShapeMismatchError(f"theta shape {row}, expected ({state.n_params},)")
+    return theta.reshape(-1, state.n_params)
+
+
+def _rz_phases(state: CircuitState, theta: np.ndarray) -> np.ndarray:
+    """Diagonal cos(phi/2) - i sin(phi/2) z of each rz gate's matrix: (R, N, d), in gate order."""
+    plan = state._plan
+    half = 0.5 * theta.T[plan.rz_params]
+    # c + s (-i z) has the bits of the matrix's c - (i s) z
+    return np.cos(half)[..., None] + np.sin(half)[..., None] * plan.rz_z
 
 
 def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
-    """Density operator U(theta) rho_ini U(theta)^dagger."""
-    theta = _check_theta(state, theta)
-    rho = state.initial.astype(complex)
+    """Density operator U(theta) rho_ini U(theta)^dagger.
+
+    theta (K,) gives rho (d, d); a (N, K) stack gives (N, d, d), equal bit for
+    bit to N single calls.  An rz gate scales rows and columns by its phases.
+    """
+    stack = _check_theta(state, theta)
+    phases = _rz_phases(state, stack)
+    left, right = iter(phases[..., None]), iter(phases.conj()[..., None, :])
+    rho = state.initial.astype(complex)  # the first rotation adds the stack axis
     for gate in state.gates:
-        u = gate_unitary(state, gate, theta)
-        rho = u @ rho @ u.conj().T
-    return rho
+        if gate.kind == "rz":
+            rho = next(left) * rho * next(right)
+        else:
+            u = gate_unitary(state, gate, stack)
+            rho = u @ rho @ u.conj().swapaxes(-1, -2)
+    if rho.ndim == 2:  # a circuit without rotations
+        rho = np.repeat(rho[None], len(stack), axis=0)
+    return rho if np.ndim(theta) > 1 else rho[0]
 
 
 def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
@@ -168,27 +225,43 @@ def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     Adjoint method (Jones & Gacon, arXiv:2009.02823): gate j inserts
     -(i/2)[G_j, .] after itself, and pushing that through the suffix W_j of
     later gates gives -(i/2)[W_j G_j W_j^dagger, rho].  One backward sweep
-    grows W and sums A_k = sum over gates j of parameter k of W_j G_j W_j^dagger;
-    at its end W is the whole circuit, so rho = W rho_ini W^dagger.
+    grows W and keeps each W_j; one batched product then forms every
+    W_j G_j W_j^dagger, and A_k sums those of the gates of parameter k in
+    gate-sweep order.  At the sweep's end W is the whole circuit, so
+    rho = W rho_ini W^dagger.  A (N, K) stack of theta gives (N, K, d, d),
+    equal bit for bit to N single calls.
     """
-    theta = _check_theta(state, theta)
-    dim = 2**state.n_qubits
-    a = np.zeros((state.n_params, dim, dim), dtype=complex)
-    w = np.eye(dim, dtype=complex)
+    stack = _check_theta(state, theta)
+    plan = state._plan
+    n, dim = len(stack), len(state.initial)
+    phases = iter(_rz_phases(state, stack)[::-1, :, None, :])
+    suffixes = np.empty((len(plan.params), n, dim, dim), dtype=complex)
+    slots = iter(suffixes)  # W_j of each rotation, in sweep order
+    w = _identity(dim, complex)
     for gate in reversed(state.gates):
         if gate.param is not None:
-            a[gate.param] += w @ gate_generator(state, gate) @ w.conj().T
-        w = w @ gate_unitary(state, gate, theta)
-    rho = w @ state.initial @ w.conj().T
-    return -0.5j * (a @ rho - rho @ a)
+            next(slots)[...] = w
+        if gate.kind == "rz":
+            w = w * next(phases)
+        else:
+            w = w @ gate_unitary(state, gate, stack)
+    terms = suffixes @ plan.gens @ suffixes.conj().swapaxes(-1, -2)
+    a = np.zeros((n, state.n_params, dim, dim), dtype=complex)
+    if plan.distinct:
+        a[:, plan.params] += terms.swapaxes(0, 1)
+    else:  # a repeated parameter adds its terms one by one, in sweep order
+        np.add.at(a, (slice(None), plan.params), terms.swapaxes(0, 1))
+    rho = (w @ state.initial @ w.conj().swapaxes(-1, -2))[..., None, :, :]
+    derivs = -0.5j * (a @ rho - rho @ a)
+    return derivs if np.ndim(theta) > 1 else derivs[0]
 
 
 def regularize_state(rho: np.ndarray, delta: float) -> np.ndarray:
-    """Mix toward the maximally mixed state: (1 - delta) rho + delta I / N."""
+    """Mix toward the maximally mixed state: (1 - delta) rho + delta I / N; rho may be a stack."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta = {delta} outside [0, 1]")
-    n = rho.shape[0]
-    return (1.0 - delta) * rho + delta * np.eye(n, dtype=complex) / n
+    n = rho.shape[-1]
+    return (1.0 - delta) * rho + delta * _identity(n, complex) / n
 
 
 def linear_family(rho: np.ndarray, tangents: Sequence[np.ndarray]):

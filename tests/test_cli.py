@@ -227,8 +227,11 @@ def test_bad_flag_value_is_a_config_error(tmp_path):
     assert cli.main(["run", "--steps", "1.5", "--out", str(tmp_path / "no.csv")]) == 2
 
 
-def test_bad_inputs_fail_before_running(tmp_path):
+def test_bad_inputs_fail_before_running(tmp_path, monkeypatch):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))
     out = str(tmp_path / "no.csv")
+    heisenberg = ["--experiment", "three-qubit-heisenberg", "--rule", "trust"]
     for flags in (
         ["--theta0", "nan,0,0"],
         ["--theta-star", "0,inf,0"],
@@ -238,9 +241,20 @@ def test_bad_inputs_fail_before_running(tmp_path):
         ["--metric", "sw:nan"],
         ["--metric", "st:-inf"],
         ["--sweep-alpha=nan"],
+        [*heisenberg, "--epsilon", "nan"],
+        [*heisenberg, "--epsilon", "inf"],
+        [*heisenberg, "--omega", "nan"],
+        [*heisenberg, "--coupling", "nan"],
+        [*heisenberg, "--rank-tol", "nan"],
+        [*heisenberg, "--grad-tol", "nan"],
+        [*heisenberg, "--eta", "nan"],
+        [*heisenberg, "--eta", "inf"],
+        [*heisenberg, "--delta", "inf"],
+        [*heisenberg, "--xi", "nan"],
     ):
         assert cli.main(["run", *flags, "--steps", "3", "--out", out]) == 2, flags
     assert not os.path.exists(out)
+    assert runs == []
 
 
 def test_sweep_file_names_keep_every_digit(tmp_path):
@@ -341,3 +355,12 @@ def test_witness_is_found_for_seeds_0_to_49():
     for seed in range(50):
         witness = cli.first_witness(seed)
         assert witness is not None and witness.violation > 0.0, seed
+
+
+def test_failed_sweep_reports_the_failing_alpha_as_its_solo_run(tmp_path, capsys):
+    argv = ["run", "--bloch", "1,0,0", "--delta", "0", "--steps", "5"]
+    assert cli.main(argv + ["--metric", "sw:2", "--out", str(tmp_path / "solo.csv")]) == 3
+    solo = capsys.readouterr().err
+    assert solo.startswith("numerical error: NumericalError: run aborted after 0 records: ")
+    assert cli.main(argv + ["--sweep-alpha", "0.25,2", "--out", str(tmp_path / "sweep")]) == 3
+    assert capsys.readouterr().err == solo

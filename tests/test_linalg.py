@@ -72,3 +72,23 @@ def test_solve_sym_errors():
 def test_condition_number():
     assert linalg.condition_number(np.diag([1.0, 4.0])) == pytest.approx(4.0)
     assert linalg.condition_number(np.diag([0.0, 1.0])) == np.inf
+
+
+def test_stacked_solve_and_condition_number_are_single_calls():
+    rng = np.random.default_rng(4)
+    for k in (1, 3, 9):
+        a = rng.normal(size=(5, k, k))
+        G = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(k)
+        b = rng.normal(size=(5, k))
+        x, cond = linalg.solve_sym(G, b), linalg.condition_number(G)
+        assert x.shape == (5, k) and cond.shape == (5,)
+        for n in range(5):
+            assert linalg.solve_sym(G[n], b[n]).tobytes() == x[n].tobytes()
+            assert linalg.condition_number(G[n]) == cond[n]
+    # a singular member fails the whole stack, as it fails alone
+    G[3] = np.diag([0.0] + [1.0] * (k - 1))
+    with pytest.raises(SingularError):
+        linalg.solve_sym(G, b)
+    assert linalg.condition_number(G)[3] == np.inf
+    with pytest.raises(ShapeMismatchError):
+        linalg.solve_sym(G, b[:, :-1])

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qngm import cli, optimizer, petz, qfim, states
-from qngm.errors import NumericalError
-from qngm.linalg import solve_sym
+from qngm.errors import NumericalError, QngmError, ShapeMismatchError
+from qngm.linalg import condition_number, solve_sym
 
 
 def experiment(name="single-qubit"):
@@ -215,3 +215,163 @@ def test_run_builds_the_state_once_per_record(monkeypatch, name):
     traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", max_steps=4)
     assert traj.error is None and len(traj.records) == 5
     assert calls.count("evaluate") == calls.count("derivatives") == 5
+
+
+def test_observable_must_be_hermitian():
+    with pytest.raises(ShapeMismatchError, match="Hermitian"):
+        optimizer.Observable(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(ShapeMismatchError, match="square"):
+        optimizer.Observable(np.zeros((2, 3), dtype=complex))
+    optimizer.Observable(states.SIGMA_Y)  # Hermitian, though not real
+
+
+def test_observable_of_another_dimension_aborts_every_member():
+    circuit, _, theta0 = experiment()
+    cost = optimizer.Observable(states.pauli_on(2, 0, "z"))
+    solo = optimizer.run(circuit, cost, petz.SLD, theta0, max_steps=3)
+    assert solo.records == []
+    assert solo.error == "ShapeMismatchError: observable shape (4, 4) vs state (2, 2)"
+    stacked = optimizer.run(circuit, cost, [petz.SLD, petz.BKM], theta0, max_steps=3)
+    assert [t.error for t in stacked] == [solo.error] * 2
+
+
+def fingerprint(traj):
+    """Everything a trajectory records, for bit-exact comparison."""
+    rows = [(r.step, r.theta.tobytes(), r.cost, r.grad_norm, r.metric_cond) for r in traj.records]
+    return rows, traj.error
+
+
+def reference_run(circuit, cost, f, theta0, rule, eta=1e-3, epsilon=1e-6, delta=1e-3,
+                  xi=1e-3, max_steps=10, grad_tol=1e-10, use_diagonal=False):  # fmt: skip
+    """The former one-member loop over the single-member calls of each layer."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    traj = optimizer.Trajectory()
+    try:
+        for step in range(max_steps + 1):
+            if not np.all(np.isfinite(theta)):
+                raise NumericalError(f"non-finite theta at step {step}")
+            rho = states.evaluate(circuit, theta)
+            derivs = states.derivatives(circuit, theta)
+            G = qfim.metric(states.regularize_state(rho, delta), (1.0 - delta) * derivs, f)
+            if use_diagonal:
+                G = qfim.diagonal(G)
+            G = qfim.regularize_metric(G, xi)
+            value, grad = optimizer.cost_and_gradient(cost, rho, derivs)
+            if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+                raise NumericalError(f"non-finite cost or gradient at step {step}")
+            grad_norm = float(np.linalg.norm(grad))
+            cond = condition_number(G)
+            traj.records.append(optimizer.TrajectoryRecord(step, theta.copy(), value, grad_norm, cond))
+            if step == max_steps or grad_norm < grad_tol:
+                break
+            if rule == "trust":
+                dtheta, converged = optimizer.step_trust(G, grad, epsilon)
+            else:
+                dtheta, converged = optimizer.step_lr(G, grad, eta)
+            if converged:
+                break
+            theta = theta + dtheta
+    except QngmError as exc:
+        traj.error = f"{type(exc).__name__}: {exc}"
+    return traj
+
+
+STACK = [petz.SLD, petz.sandwiched(0.3), petz.standard(0.5), petz.parse("lin:3:rrld:sld")]
+
+
+@pytest.mark.parametrize("use_diagonal", [False, True])
+@pytest.mark.parametrize("rule", optimizer.RULES)
+@pytest.mark.parametrize("name", ["single-qubit", "two-qubit", "three-qubit-heisenberg"])
+def test_stack_gives_each_member_its_solo_records(name, rule, use_diagonal):
+    circuit, cost, theta0 = experiment(name)
+    options = dict(rule=rule, max_steps=12, use_diagonal=use_diagonal)
+    stacked = optimizer.run(circuit, cost, STACK, theta0, **options)
+    assert len(stacked) == len(STACK)
+    for f, traj in zip(STACK, stacked):
+        assert traj.error is None and len(traj.records) == 13
+        assert fingerprint(traj) == fingerprint(optimizer.run(circuit, cost, f, theta0, **options))
+        assert fingerprint(traj) == fingerprint(reference_run(circuit, cost, f, theta0, **options))
+
+
+def test_a_list_of_one_is_the_single_run():
+    circuit, cost, theta0 = experiment("two-qubit")
+    f = petz.sandwiched(0.3)
+    (member,) = optimizer.run(circuit, cost, [f], theta0, max_steps=8)
+    assert fingerprint(member) == fingerprint(optimizer.run(circuit, cost, f, theta0, max_steps=8))
+    assert optimizer.run(circuit, cost, [], theta0) == []
+
+
+def test_a_member_below_grad_tol_leaves_the_stack():
+    circuit, cost, _ = experiment()
+    theta0 = np.array([0.3, 0.2, 0.1])  # near the minimum at 0
+    fast, slow = petz.sandwiched(0.1), petz.sandwiched(-1.0)
+    options = dict(rule="lr", eta=0.05, max_steps=40)
+    # a tolerance the slow member never goes below in 40 steps; the fast one does
+    grad_tol = min(r.grad_norm for r in optimizer.run(circuit, cost, slow, theta0, **options).records)
+    stacked = optimizer.run(circuit, cost, [fast, slow, fast], theta0, grad_tol=grad_tol, **options)
+    lengths = [len(t.records) for t in stacked]
+    assert lengths[1] == 41 and lengths[0] == lengths[2] < 41
+    for f, traj in zip([fast, slow, fast], stacked):
+        solo = optimizer.run(circuit, cost, f, theta0, grad_tol=grad_tol, **options)
+        assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+
+
+def test_a_member_with_a_vanishing_gradient_leaves_the_stack():
+    circuit, cost, _ = experiment()
+    theta0 = np.array([0.3, 0.2, 0.1])
+    fs = [petz.sandwiched(-1.0), petz.sandwiched(0.1)]
+    options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=0.0)
+    stacked = optimizer.run(circuit, cost, fs, theta0, **options)
+    # the fast member's |grad| falls below GRAD_ZERO and its step reports convergence
+    assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
+    assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
+    for f, traj in zip(fs, stacked):
+        solo = optimizer.run(circuit, cost, f, theta0, **options)
+        assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+
+
+def test_an_aborting_member_keeps_its_own_error():
+    # sw:0.25 runs on the pure state (f(0) > 0); sw:2 and bkm abort (f(0) = 0)
+    config = cli.ExperimentConfig(bloch=((1.0, 0.0, 0.0),))
+    circuit, cost, theta0 = cli.build_experiment(config)
+    fs = [petz.sandwiched(2.0), petz.sandwiched(0.25), petz.BKM]
+    stacked = optimizer.run(circuit, cost, fs, theta0, delta=0.0, max_steps=6)
+    for f, traj in zip(fs, stacked):
+        solo = optimizer.run(circuit, cost, f, theta0, delta=0.0, max_steps=6)
+        assert fingerprint(traj) == fingerprint(solo)
+    assert [t.error is None for t in stacked] == [False, True, False]
+    assert stacked[0].error.startswith("MetricUndefinedError") and stacked[0].records == []
+    assert len(stacked[1].records) == 7
+
+
+def test_non_finite_start_aborts_every_member():
+    circuit, cost, _ = experiment()
+    stacked = optimizer.run(circuit, cost, STACK, np.array([np.nan, 0.0, 0.0]), max_steps=5)
+    assert [t.error for t in stacked] == ["NumericalError: non-finite theta at step 0"] * len(STACK)
+
+
+@pytest.mark.parametrize("name", ["single-qubit", "two-qubit", "three-qubit-heisenberg"])
+def test_stacked_cost_and_steps_are_single_calls(name):
+    circuit, cost, theta0 = experiment(name)
+    rng = np.random.default_rng(5)
+    theta = theta0 + rng.normal(scale=0.5, size=(4, theta0.size))
+    rho, derivs = states.evaluate(circuit, theta), states.derivatives(circuit, theta)
+    value, grad = optimizer.cost_and_gradient(cost, rho, derivs)
+    assert value.shape == (4,) and grad.shape == theta.shape
+    a = rng.normal(size=(4, theta0.size, theta0.size))
+    G = a @ a.swapaxes(-1, -2) + np.eye(theta0.size)
+    grad[2] = 0.0  # a converged member among moving ones
+    for step, option in ((optimizer.step_lr, 1e-3), (optimizer.step_trust, 1e-6)):
+        dtheta, converged = step(G, grad, option)
+        assert converged.tolist() == [False, False, True, False]
+        for n in range(4):
+            single_value, single_grad = optimizer.cost_and_gradient(cost, rho[n], derivs[n])
+            assert single_value == value[n]
+            if n != 2:
+                assert single_grad.tobytes() == grad[n].tobytes()
+            single_step, single_converged = step(G[n], grad[n], option)
+            assert single_step.tobytes() == dtheta[n].tobytes() and single_converged == converged[n]
+        # a strided gradient steps as its contiguous copy
+        strided = np.empty((4, 2 * theta0.size))[:, ::2]
+        strided[...] = grad
+        assert step(G, strided, option)[0].tobytes() == dtheta.tobytes()

@@ -481,3 +481,49 @@ def test_first_witness_matches_the_triple_loop():
     for seed in range(10):
         want = next(t for t in loop_probe_triples(f, seed) if t.violation > 0.0)
         assert cli.first_witness(seed).index == want.index
+
+
+@settings(max_examples=60, deadline=None)
+@given(_STACKS, st.data())
+def test_stacked_metric_takes_one_function_per_member(case, data):
+    dim, k, members = case
+    rho, x = _stack(dim, k, [(seed, dim) for seed, _ in members])
+    fs = data.draw(st.lists(_FUNCTIONS, min_size=len(members), max_size=len(members)))
+    singles = []
+    for n, f in enumerate(fs):
+        try:
+            singles.append(qfim.metric(rho[n], x[n], f))
+        except QngmError as exc:  # e.g. an imaginary residue above IMAG_TOL for st:-3
+            singles.append(type(exc))
+    errors = [s for s in singles if isinstance(s, type)]
+    if errors:  # the stack raises as a member's single call does
+        assert _raised(lambda: qfim.metric(rho, x, fs)) in errors
+        return
+    g = qfim.metric(rho, x, fs)
+    for n, single in enumerate(singles):
+        np.testing.assert_array_equal(g[n], single)
+
+
+def test_per_member_functions_on_rank_deficient_stacks():
+    members = [_rank_deficient_state_and_tangents(3, seed, 2, 1) for seed in (1, 2)]
+    rho, x = np.stack([m[0] for m in members]), np.stack([np.stack(m[1]) for m in members])
+    g = qfim.metric(rho, x, [petz.SLD, petz.ZERO_PLUS])
+    np.testing.assert_array_equal(g[0], qfim.metric(rho[0], x[0], petz.SLD))
+    np.testing.assert_array_equal(g[1], qfim.metric(rho[1], x[1], petz.ZERO_PLUS))
+    # f(0) = 0 is rejected on the member that needs it, with that member's f(0)
+    with pytest.raises(MetricUndefinedError, match=r"f\(0\) = 0.0;"):
+        qfim.metric(rho, x, [petz.SLD, petz.BKM])
+    # a full-rank member may have f(0) = 0 beside a rank-deficient one
+    full, tangents = _state_and_tangents(3, 5, 2)
+    rho[1], x[1] = full, np.stack(tangents)
+    g = qfim.metric(rho, x, [petz.SLD, petz.BKM])
+    np.testing.assert_array_equal(g[1], qfim.metric(full, tangents, petz.BKM))
+    with pytest.raises(ShapeMismatchError):
+        qfim.metric(rho, x, [petz.SLD])
+
+
+def test_stacked_diagonal_and_regularize():
+    g = np.array([[[2.0, -1.0], [-1.0, 2.0]], [[1.0, 0.5], [0.5, 3.0]]])
+    for n in range(2):
+        assert qfim.diagonal(g)[n].tobytes() == np.diag(np.diag(g[n])).tobytes()
+        assert qfim.regularize_metric(g, 0.25)[n].tobytes() == qfim.regularize_metric(g[n], 0.25).tobytes()

@@ -277,3 +277,20 @@ def test_linear_family():
     for coef, x in zip(theta, xs):
         loop = loop + coef * x
     np.testing.assert_allclose(states.linear_family(rho, xs)(theta), loop, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_circuits(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_stacked_passes_are_single_calls(case, n, seed):
+    circ, theta = case
+    thetas = np.vstack([theta, np.random.default_rng(seed).uniform(-np.pi, np.pi, (n - 1, theta.size))])
+    rho, derivs = states.evaluate(circ, thetas), states.derivatives(circ, thetas)
+    dim = circ.initial.shape[0]
+    assert rho.shape == (n, dim, dim) and derivs.shape == (n, circ.n_params, dim, dim)
+    reg = states.regularize_state(rho, 1e-3)
+    for i in range(n):
+        assert rho[i].tobytes() == states.evaluate(circ, thetas[i]).tobytes()
+        assert derivs[i].tobytes() == states.derivatives(circ, thetas[i]).tobytes()
+        assert reg[i].tobytes() == states.regularize_state(rho[i], 1e-3).tobytes()
+    with pytest.raises(ShapeMismatchError):
+        states.evaluate(circ, thetas[:, :-1])
