@@ -77,8 +77,5 @@ def condition_number(G: np.ndarray):
     w = np.linalg.eigvalsh(np.asarray(G, dtype=float))
     lo, hi = w[..., 0], w[..., -1]
     singular = lo <= 0.0
-    if singular.any():
-        cond = np.where(singular, np.inf, hi) / np.where(singular, 1.0, lo)
-    else:
-        cond = hi / lo
+    cond = np.where(singular, np.inf, hi) / np.where(singular, 1.0, lo)
     return float(cond) if cond.ndim == 0 else cond

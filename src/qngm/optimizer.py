@@ -23,7 +23,7 @@ import numpy as np
 
 from . import petz, qfim, states
 from .errors import NumericalError, QngmError, ShapeMismatchError
-from .linalg import HERMITIAN_TOL, condition_number, solve_sym
+from .linalg import HERMITIAN_TOL, _identity, condition_number, solve_sym
 
 GRAD_ZERO = 1e-10
 RULES = ("trust", "lr")
@@ -55,19 +55,14 @@ class Observable:
 CostFunction = Union[StateDistance, Observable]
 
 
-def _check_cost(cost: CostFunction, dim: int) -> None:
-    """An observable must act on the circuit's (dim, dim) states."""
-    if isinstance(cost, Observable) and np.shape(cost.matrix) != (dim, dim):
-        raise ShapeMismatchError(f"observable shape {np.shape(cost.matrix)} vs state {(dim, dim)}")
-
-
 def cost_and_gradient(
     cost: CostFunction, rho: np.ndarray, derivs: Sequence[np.ndarray]
 ) -> Tuple[float, np.ndarray]:
     """L and dL/dtheta^k from the state rho and its (K, d, d) derivatives d rho / d theta^k.
 
     For a stack, rho is (N, d, d) and derivs (N, K, d, d); L is then (N,)
-    and the gradient (N, K).  ``run`` checks the cost's shape once.
+    and the gradient (N, K).  An ``Observable`` checked its Hermiticity when
+    it was made; here only its shape is checked against the state's.
     """
     derivs = np.asarray(derivs, dtype=complex)
     if isinstance(cost, StateDistance):
@@ -77,6 +72,8 @@ def cost_and_gradient(
         grad = 2.0 * np.einsum("...kij,...ij->...k", derivs, diff.conj()).real
     elif isinstance(cost, Observable):
         h = np.asarray(cost.matrix, dtype=complex)
+        if h.shape != rho.shape[-2:]:
+            raise ShapeMismatchError(f"observable shape {h.shape} vs state {rho.shape[-2:]}")
         value = np.trace(rho @ h, axis1=-2, axis2=-1).real
         grad = np.ascontiguousarray(np.einsum("...kij,ji->...k", derivs, h).real)
     else:
@@ -97,19 +94,16 @@ def _norm(grad: np.ndarray) -> np.ndarray:
 def _step(G: np.ndarray, grad: np.ndarray, move):
     """(dtheta, converged) for one member or a stack.
 
-    A member with |grad| < GRAD_ZERO has converged and gets a zero step
-    without a solve; the others get move(grad, G^{-1} grad).
+    A member with |grad| < GRAD_ZERO has converged and gets a zero step; the
+    others get move(grad, G^{-1} grad).  A converged member enters the solve
+    as G = I and grad = 1, so its own metric never reaches the solve.
     """
     G, grad = np.asarray(G, dtype=float), np.ascontiguousarray(grad, dtype=float)
     converged = _norm(grad) < GRAD_ZERO
-    if not converged.any():
-        return move(grad, solve_sym(G, grad)), converged
-    dtheta = np.zeros_like(grad)
-    moving = ~converged
-    if moving.any():
-        g = grad[moving]
-        dtheta[moving] = move(g, solve_sym(G[moving], g))
-    return dtheta, converged
+    done = converged[..., None]
+    g = np.where(done, 1.0, grad)
+    dtheta = move(g, solve_sym(np.where(done[..., None], _identity(G.shape[-1]), G), g))
+    return np.where(done, 0.0, dtheta), converged
 
 
 def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> Tuple[np.ndarray, bool]:
@@ -150,32 +144,34 @@ class Trajectory:
         return np.array([r.cost for r in self.records])
 
 
-def _lockstep(fn, members: List[int], trajectories: List[Trajectory]):
-    """fn(rows) for every member at once, rows indexing ``members``.
+def _lockstep(fn, live: List[int], trajectories: List[Trajectory], theta: np.ndarray):
+    """fn(rows) for every live member at once, rows indexing ``live``.
 
     If that raises a QngmError, fn runs on each member alone, as a run of
     that member alone would, and a member that fails there leaves with its
-    error.  Returns the rows kept (None for all of them) and fn's outputs
-    for those rows.
+    error.  Returns the members kept, their rows of theta and fn's outputs
+    for them (None if no member is kept).
     """
     try:
-        return None, fn(slice(None))
+        return live, theta, fn(slice(None))
     except QngmError:
         pass
     kept, outputs = [], []
-    for row, member in enumerate(members):
+    for row, member in enumerate(live):
         try:
             outputs.append(fn(slice(row, row + 1)))
         except QngmError as exc:
             trajectories[member].error = f"{type(exc).__name__}: {exc}"
         else:
             kept.append(row)
-    return kept, tuple(map(np.concatenate, zip(*outputs))) if kept else None
+    if not kept:
+        return [], theta[:0], None
+    return [live[i] for i in kept], theta[kept], tuple(map(np.concatenate, zip(*outputs)))
 
 
-def _keep(rows, live: List[int], *stacks):
-    """The members at ``rows`` of live, and the same rows of each stack."""
-    return ([live[i] for i in rows], *(stack[rows] for stack in stacks))
+def _keep(going: List[bool], live: List[int], *stacks):
+    """The members of live where ``going`` holds, and the same rows of each stack."""
+    return ([m for m, g in zip(live, going) if g], *(stack[going] for stack in stacks))
 
 
 def run(
@@ -211,12 +207,6 @@ def run(
     # the members still stepping: member live[i] is at theta[i]
     live = list(range(len(fs)))
     theta = np.repeat(np.asarray(theta0, dtype=float)[None], len(fs), axis=0)
-    try:
-        _check_cost(cost, len(state.initial))
-    except QngmError as exc:
-        for traj in trajectories:
-            traj.error = f"{type(exc).__name__}: {exc}"
-        live = []
 
     def measure(rows):
         th = theta[rows]
@@ -243,31 +233,26 @@ def run(
         if not live:
             break
         live_fs = [fs[m] for m in live]
-        rows, measured = _lockstep(measure, live, trajectories)
-        if rows is not None:
-            live, theta = _keep(rows, live, theta)
-            if not live:
-                break
+        live, theta, measured = _lockstep(measure, live, trajectories, theta)
+        if not live:
+            break
         G, grad, value, grad_norm, cond = measured
-        for i, member in enumerate(live):
-            record = TrajectoryRecord(
-                step, theta[i].copy(), float(value[i]), float(grad_norm[i]), float(cond[i])
-            )
-            trajectories[member].records.append(record)
+        norms = grad_norm.tolist()
+        for member, th, v, n, c in zip(live, theta, value.tolist(), norms, cond.tolist()):
+            trajectories[member].records.append(TrajectoryRecord(step, th.copy(), v, n, c))
         if step == max_steps:
             break
-        stopped = grad_norm < grad_tol
-        if stopped.any():
-            live, theta, G, grad = _keep(np.flatnonzero(~stopped), live, theta, G, grad)
+        going = [not n < grad_tol for n in norms]
+        if not all(going):
+            live, theta, G, grad = _keep(going, live, theta, G, grad)
             if not live:
                 break
-        rows, stepped = _lockstep(advance, live, trajectories)
-        if rows is not None:
-            live, theta = _keep(rows, live, theta)
-            if not live:
-                break
+        live, theta, stepped = _lockstep(advance, live, trajectories, theta)
+        if not live:
+            break
         dtheta, converged = stepped
-        if converged.any():
-            live, theta, dtheta = _keep(np.flatnonzero(~converged), live, theta, dtheta)
+        going = (~converged).tolist()
+        if not all(going):
+            live, theta, dtheta = _keep(going, live, theta, dtheta)
         theta = theta + dtheta
     return trajectories[0] if single else trajectories

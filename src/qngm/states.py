@@ -9,7 +9,7 @@ tensor factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,6 +76,9 @@ class CircuitState:
     initial: np.ndarray
     gates: Tuple[Gate, ...]
     n_params: int
+    # (theta bytes, gate matrices) of the latest circuit pass: a step
+    # evaluates and differentiates at one theta, so it builds them once
+    _latest: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = 2**self.n_qubits
@@ -105,14 +108,16 @@ class CircuitState:
         rz = [g for g in self.gates if g.kind == "rz"]
         z = [-1j * np.diagonal(pauli_on(self.n_qubits, g.wire, "z")).real for g in rz]
         rotations = [g for g in reversed(self.gates) if g.param is not None]
-        params = [g.param for g in rotations]
         gens = [gate_generator(self, g)[None] for g in rotations]
+        params = np.array([g.param for g in rotations], dtype=int)
+        # the r-th gate of each parameter in sweep order goes into layer r
+        rank = np.array([list(params[:j]).count(k) for j, k in enumerate(params)], dtype=int)
+        layers = [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
         return _Plan(
             np.array([g.param for g in rz], dtype=int),
             np.array(z).reshape(len(rz), 1, 2**self.n_qubits),
-            np.array(params, dtype=int),
+            tuple((rows, params[rows]) for rows in layers),
             np.array(gens).reshape(len(rotations), 1, *self.initial.shape),
-            len(set(params)) == len(params),
         )
 
 
@@ -120,17 +125,18 @@ class _Plan(NamedTuple):
     """What the passes need of a circuit beyond theta.
 
     ``rz_params`` and ``rz_z`` (R, 1, d) are the parameter and -i times the
-    diagonal of Z on the wire of each rz gate, in gate order.  ``params`` and ``gens``
-    (R', 1, d, d) are the parameter and generator of each rotation in reverse
-    gate order, the order of the backward sweep; ``distinct`` says that no
-    parameter repeats.
+    diagonal of Z on the wire of each rz gate, in gate order.  ``gens``
+    (R', 1, d, d) are the generators of the rotations in reverse gate order,
+    the order of the backward sweep.  ``layers`` splits those rotations into
+    (rotations, their parameters) pairs: layer r holds the r-th rotation of
+    each parameter, so no parameter repeats within a layer, and a circuit
+    whose parameters are distinct has one layer.
     """
 
     rz_params: np.ndarray
     rz_z: np.ndarray
-    params: np.ndarray
+    layers: Tuple[Tuple[np.ndarray, np.ndarray], ...]
     gens: np.ndarray
-    distinct: bool
 
 
 def r3_gates(wire: int, first_param: int) -> Tuple[Gate, ...]:
@@ -190,30 +196,38 @@ def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     return theta.reshape(-1, state.n_params)
 
 
-def _rz_phases(state: CircuitState, theta: np.ndarray) -> np.ndarray:
-    """Diagonal cos(phi/2) - i sin(phi/2) z of each rz gate's matrix: (R, N, d), in gate order."""
+def _unitaries(state: CircuitState, stack: np.ndarray) -> list:
+    """Each gate's matrix for a (N, K) theta stack, in gate order.
+
+    The rz matrices, diagonal cos(phi/2) - i sin(phi/2) z, are built at once
+    for the whole circuit; c + s (-i z) has the bits of ``gate_unitary``'s
+    c I - (i s) Z.  The passes multiply by them with matmul like any gate,
+    because an elementwise product rounds differently from zgemm at d >= 4.
+    A second pass at the same theta reuses the first one's matrices.
+    """
+    key = stack.tobytes()
+    latest = state._latest[0]
+    if latest is not None and latest[0] == key:
+        return latest[1]
     plan = state._plan
-    half = 0.5 * theta.T[plan.rz_params]
-    # c + s (-i z) has the bits of the matrix's c - (i s) z
-    return np.cos(half)[..., None] + np.sin(half)[..., None] * plan.rz_z
+    half = 0.5 * stack.T[plan.rz_params]
+    phases = np.cos(half)[..., None] + np.sin(half)[..., None] * plan.rz_z
+    rz = iter(phases[..., None] * _identity(len(state.initial), complex))
+    matrices = [next(rz) if g.kind == "rz" else gate_unitary(state, g, stack) for g in state.gates]
+    state._latest[0] = (key, matrices)
+    return matrices
 
 
 def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     """Density operator U(theta) rho_ini U(theta)^dagger.
 
     theta (K,) gives rho (d, d); a (N, K) stack gives (N, d, d), equal bit for
-    bit to N single calls.  An rz gate scales rows and columns by its phases.
+    bit to N single calls.
     """
     stack = _check_theta(state, theta)
-    phases = _rz_phases(state, stack)
-    left, right = iter(phases[..., None]), iter(phases.conj()[..., None, :])
     rho = state.initial.astype(complex)  # the first rotation adds the stack axis
-    for gate in state.gates:
-        if gate.kind == "rz":
-            rho = next(left) * rho * next(right)
-        else:
-            u = gate_unitary(state, gate, stack)
-            rho = u @ rho @ u.conj().swapaxes(-1, -2)
+    for u in _unitaries(state, stack):
+        rho = u @ rho @ u.conj().swapaxes(-1, -2)
     if rho.ndim == 2:  # a circuit without rotations
         rho = np.repeat(rho[None], len(stack), axis=0)
     return rho if np.ndim(theta) > 1 else rho[0]
@@ -234,23 +248,17 @@ def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     stack = _check_theta(state, theta)
     plan = state._plan
     n, dim = len(stack), len(state.initial)
-    phases = iter(_rz_phases(state, stack)[::-1, :, None, :])
-    suffixes = np.empty((len(plan.params), n, dim, dim), dtype=complex)
+    suffixes = np.empty((len(plan.gens), n, dim, dim), dtype=complex)
     slots = iter(suffixes)  # W_j of each rotation, in sweep order
     w = _identity(dim, complex)
-    for gate in reversed(state.gates):
+    for gate, u in zip(reversed(state.gates), reversed(_unitaries(state, stack))):
         if gate.param is not None:
             next(slots)[...] = w
-        if gate.kind == "rz":
-            w = w * next(phases)
-        else:
-            w = w @ gate_unitary(state, gate, stack)
+        w = w @ u
     terms = suffixes @ plan.gens @ suffixes.conj().swapaxes(-1, -2)
     a = np.zeros((n, state.n_params, dim, dim), dtype=complex)
-    if plan.distinct:
-        a[:, plan.params] += terms.swapaxes(0, 1)
-    else:  # a repeated parameter adds its terms one by one, in sweep order
-        np.add.at(a, (slice(None), plan.params), terms.swapaxes(0, 1))
+    for rows, params in plan.layers:  # a repeated parameter adds its terms in sweep order
+        a[:, params] += terms[rows].swapaxes(0, 1)
     rho = (w @ state.initial @ w.conj().swapaxes(-1, -2))[..., None, :, :]
     derivs = -0.5j * (a @ rho - rho @ a)
     return derivs if np.ndim(theta) > 1 else derivs[0]

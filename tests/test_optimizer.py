@@ -235,6 +235,17 @@ def test_observable_of_another_dimension_aborts_every_member():
     assert [t.error for t in stacked] == [solo.error] * 2
 
 
+def test_cost_and_gradient_checks_the_observable_shape():
+    circuit, _, theta0 = experiment()
+    cost = optimizer.Observable(states.pauli_on(2, 0, "z"))
+    rho, derivs = states.evaluate(circuit, theta0), states.derivatives(circuit, theta0)
+    message = r"observable shape \(4, 4\) vs state \(2, 2\)"
+    with pytest.raises(ShapeMismatchError, match=message):
+        optimizer.cost_and_gradient(cost, rho, derivs)
+    with pytest.raises(ShapeMismatchError, match=message):
+        optimizer.cost_and_gradient(cost, rho[None], derivs[None])
+
+
 def fingerprint(traj):
     """Everything a trajectory records, for bit-exact comparison."""
     rows = [(r.step, r.theta.tobytes(), r.cost, r.grad_norm, r.metric_cond) for r in traj.records]
@@ -361,8 +372,10 @@ def test_stacked_cost_and_steps_are_single_calls(name):
     a = rng.normal(size=(4, theta0.size, theta0.size))
     G = a @ a.swapaxes(-1, -2) + np.eye(theta0.size)
     grad[2] = 0.0  # a converged member among moving ones
+    G[2] = 0.0  # whose singular metric the step never solves with
     for step, option in ((optimizer.step_lr, 1e-3), (optimizer.step_trust, 1e-6)):
-        dtheta, converged = step(G, grad, option)
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            dtheta, converged = step(G, grad, option)
         assert converged.tolist() == [False, False, True, False]
         for n in range(4):
             single_value, single_grad = optimizer.cost_and_gradient(cost, rho[n], derivs[n])
@@ -371,6 +384,7 @@ def test_stacked_cost_and_steps_are_single_calls(name):
                 assert single_grad.tobytes() == grad[n].tobytes()
             single_step, single_converged = step(G[n], grad[n], option)
             assert single_step.tobytes() == dtheta[n].tobytes() and single_converged == converged[n]
+        assert not dtheta[2].any()
         # a strided gradient steps as its contiguous copy
         strided = np.empty((4, 2 * theta0.size))[:, ::2]
         strided[...] = grad

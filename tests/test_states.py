@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qngm import qfim, states
+from qngm import cli, qfim, states
 from qngm.errors import NumericalError, ShapeMismatchError
 
 
@@ -158,6 +158,46 @@ def kron_gate(n_qubits, gate, theta):
     for w in range(n_qubits):
         op = np.kron(op, u2 if w == gate.wire else np.eye(2, dtype=complex))
     return op
+
+
+def kron_evaluate(state, theta):
+    rho = state.initial.astype(complex)
+    for gate in state.gates:
+        u = kron_gate(state.n_qubits, gate, theta)
+        rho = u @ rho @ u.conj().T
+    return rho
+
+
+def test_gate_matrices_are_reused_only_at_the_same_circuit_and_theta():
+    a = single_qubit_circuit()
+    gates = (states.Gate("ry", 0, param=0), states.Gate("rz", 0, param=1), states.Gate("ry", 0, param=2))
+    b = states.CircuitState(1, a.initial, gates, 3)
+    theta = np.array([0.3, -1.1, 0.7])
+    for circ, th in ((a, theta), (b, theta), (a, theta), (a, theta + 0.5), (b, theta + 0.5)):
+        np.testing.assert_allclose(states.evaluate(circ, th), kron_evaluate(circ, th), atol=1e-14)
+        derivs = states.derivatives(circ, th)
+        np.testing.assert_allclose(derivs, push_forward_derivatives(circ, th), atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["single-qubit", "two-qubit", "three-qubit-heisenberg"])
+def test_passes_have_the_bits_of_the_gate_by_gate_products(name):
+    # an rz gate enters both passes as a matrix product, not as elementwise phases
+    circ, _, theta0 = cli.build_experiment(cli.ExperimentConfig(experiment=name))
+    rng = np.random.default_rng(3)
+    for theta in theta0 + rng.normal(size=(5, theta0.size)):
+        rho = circ.initial.astype(complex)
+        for gate in circ.gates:
+            u = states.gate_unitary(circ, gate, theta)
+            rho = u @ rho @ u.conj().T
+        assert states.evaluate(circ, theta).tobytes() == rho.tobytes()
+        a = np.zeros((circ.n_params, *circ.initial.shape), dtype=complex)
+        w = np.eye(len(circ.initial), dtype=complex)
+        for gate in reversed(circ.gates):
+            if gate.param is not None:
+                a[gate.param] += w @ states.gate_generator(circ, gate) @ w.conj().T
+            w = w @ states.gate_unitary(circ, gate, theta)
+        rho = w @ circ.initial @ w.conj().T
+        assert states.derivatives(circ, theta).tobytes() == (-0.5j * (a @ rho - rho @ a)).tobytes()
 
 
 def test_gate_unitary_is_the_kronecker_chain():
