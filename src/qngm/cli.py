@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -458,10 +457,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _attach_negative_values(argv: Sequence[str]) -> List[str]:
-    """'--flag -1,0' -> '--flag=-1,0': argparse takes a bare '-1,0' for an option."""
+    """'--x -inf' -> '--x=-inf' unless --x is a switch: argparse takes '-inf' for an option."""
+    switches = {"--" + key.replace("_", "-") for key, kind in _FIELD_TYPES.items() if kind is bool}
     out: List[str] = []
     for arg in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", arg):
+        flag = out[-1] if out else ""
+        takes_value = flag.startswith("--") and "=" not in flag and flag not in switches
+        if takes_value and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)

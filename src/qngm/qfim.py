@@ -107,8 +107,10 @@ def metric(
     b = basis.reshape(*basis.shape[:-2], dim * dim)
     w = weights.swapaxes(-1, -2).reshape(*batch, 1, dim * dim)
     g = (b * w) @ b.conj().swapaxes(-1, -2)
-    if g.size and np.abs(g.imag).max() > IMAG_TOL:
-        raise NumericalError(f"metric has imaginary residue {np.abs(g.imag).max():.3e}")
+    residue = np.abs(g.imag).max(axis=(-2, -1), initial=0.0)  # rounding, which scales with |G|
+    bad = residue > IMAG_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))
+    if bad.any():
+        raise NumericalError(f"metric has imaginary residue {residue[bad].max():.3e}")
     g = g.real
     return 0.5 * (g + g.swapaxes(-1, -2))
 

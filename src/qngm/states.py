@@ -76,7 +76,7 @@ class CircuitState:
     initial: np.ndarray
     gates: Tuple[Gate, ...]
     n_params: int
-    # (theta bytes, gate matrices) of the latest circuit pass: a step
+    # (theta shape and bytes, gate matrices) of the latest circuit pass: a step
     # evaluates and differentiates at one theta, so it builds them once
     _latest: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
@@ -105,38 +105,33 @@ class CircuitState:
     @functools.cached_property
     def _plan(self) -> "_Plan":
         """The per-circuit constants of the two circuit passes, built on first use."""
-        rz = [g for g in self.gates if g.kind == "rz"]
-        z = [-1j * np.diagonal(pauli_on(self.n_qubits, g.wire, "z")).real for g in rz]
-        rotations = [g for g in reversed(self.gates) if g.param is not None]
-        gens = [gate_generator(self, g)[None] for g in rotations]
+        rotations = [g for g in self.gates if g.param is not None]
+        gens = [gate_generator(self, g) for g in rotations]
         params = np.array([g.param for g in rotations], dtype=int)
-        # the r-th gate of each parameter in sweep order goes into layer r
-        rank = np.array([list(params[:j]).count(k) for j, k in enumerate(params)], dtype=int)
+        # rank: rotations of the same parameter later in the circuit, met first by the sweep
+        rank = np.array([list(params[j + 1 :]).count(k) for j, k in enumerate(params)], dtype=int)
         layers = [np.flatnonzero(rank == r) for r in range(rank.max(initial=-1) + 1)]
         return _Plan(
-            np.array([g.param for g in rz], dtype=int),
-            np.array(z).reshape(len(rz), 1, 2**self.n_qubits),
+            params,
+            np.array(gens).reshape(len(rotations), *self.initial.shape),
             tuple((rows, params[rows]) for rows in layers),
-            np.array(gens).reshape(len(rotations), 1, *self.initial.shape),
         )
 
 
 class _Plan(NamedTuple):
     """What the passes need of a circuit beyond theta.
 
-    ``rz_params`` and ``rz_z`` (R, 1, d) are the parameter and -i times the
-    diagonal of Z on the wire of each rz gate, in gate order.  ``gens``
-    (R', 1, d, d) are the generators of the rotations in reverse gate order,
-    the order of the backward sweep.  ``layers`` splits those rotations into
-    (rotations, their parameters) pairs: layer r holds the r-th rotation of
-    each parameter, so no parameter repeats within a layer, and a circuit
-    whose parameters are distinct has one layer.
+    ``params`` (R,) and ``gens`` (R, d, d) are the parameter and the
+    generator of each rotation, in gate order.  ``layers`` splits the
+    rotations into (rotations, their parameters) pairs: layer r holds the
+    r-th rotation of each parameter in the order of the backward sweep, so
+    no parameter repeats within a layer, and a circuit whose parameters are
+    distinct has one layer.
     """
 
-    rz_params: np.ndarray
-    rz_z: np.ndarray
-    layers: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    params: np.ndarray
     gens: np.ndarray
+    layers: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 def r3_gates(wire: int, first_param: int) -> Tuple[Gate, ...]:
@@ -168,20 +163,6 @@ def _cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
 _GENERATORS = {"rz": "z", "ry": "y"}
 
 
-def gate_unitary(state: CircuitState, gate: Gate, theta: np.ndarray) -> np.ndarray:
-    """The gate's matrix; a rotation is cos(phi/2) I - i sin(phi/2) G.
-
-    For a (N, K) stack of theta a rotation is (N, d, d); a cnot is (d, d).
-    """
-    if gate.kind == "cnot":
-        return _cnot(state.n_qubits, gate.wire, gate.target)
-    if gate.kind not in _GENERATORS:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
-    half = 0.5 * np.asarray(theta)[..., gate.param, None, None]
-    g = gate_generator(state, gate)
-    return np.cos(half) * _identity(len(g)) - 1j * np.sin(half) * g
-
-
 def gate_generator(state: CircuitState, gate: Gate) -> np.ndarray:
     """Hermitian G with U(phi) = exp(-i phi G / 2) for parameterized gates."""
     return pauli_on(state.n_qubits, gate.wire, _GENERATORS[gate.kind])
@@ -196,24 +177,29 @@ def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     return theta.reshape(-1, state.n_params)
 
 
-def _unitaries(state: CircuitState, stack: np.ndarray) -> list:
-    """Each gate's matrix for a (N, K) theta stack, in gate order.
+def gate_unitary(state: CircuitState, theta: np.ndarray) -> list:
+    """The matrix of every gate, in gate order.
 
-    The rz matrices, diagonal cos(phi/2) - i sin(phi/2) z, are built at once
-    for the whole circuit; c + s (-i z) has the bits of ``gate_unitary``'s
-    c I - (i s) Z.  The passes multiply by them with matmul like any gate,
-    because an elementwise product rounds differently from zgemm at d >= 4.
-    A second pass at the same theta reuses the first one's matrices.
+    Every rotation is cos(phi/2) I - i sin(phi/2) G, built for the whole
+    circuit by one broadcast over the generators; a cnot is its cached
+    matrix.  For a (K,) theta a rotation is (d, d), for a (N, K) stack
+    (N, d, d); a cnot is (d, d) either way.  The matrices of the latest
+    theta are kept, so a second circuit pass at the same theta reuses them.
     """
-    key = stack.tobytes()
+    theta = np.asarray(theta, dtype=float)
+    _check_theta(state, theta)
+    key = (theta.shape, theta.tobytes())
     latest = state._latest[0]
     if latest is not None and latest[0] == key:
         return latest[1]
     plan = state._plan
-    half = 0.5 * stack.T[plan.rz_params]
-    phases = np.cos(half)[..., None] + np.sin(half)[..., None] * plan.rz_z
-    rz = iter(phases[..., None] * _identity(len(state.initial), complex))
-    matrices = [next(rz) if g.kind == "rz" else gate_unitary(state, g, stack) for g in state.gates]
+    half = 0.5 * theta[..., plan.params, None, None]
+    rotations = np.cos(half) * _identity(len(state.initial)) - 1j * np.sin(half) * plan.gens
+    rotations = iter(np.moveaxis(rotations, -3, 0))
+    matrices = [
+        _cnot(state.n_qubits, g.wire, g.target) if g.kind == "cnot" else next(rotations)
+        for g in state.gates
+    ]
     state._latest[0] = (key, matrices)
     return matrices
 
@@ -225,11 +211,9 @@ def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     bit to N single calls.
     """
     stack = _check_theta(state, theta)
-    rho = state.initial.astype(complex)  # the first rotation adds the stack axis
-    for u in _unitaries(state, stack):
+    rho = np.repeat(state.initial[None].astype(complex), len(stack), axis=0)
+    for u in gate_unitary(state, stack):
         rho = u @ rho @ u.conj().swapaxes(-1, -2)
-    if rho.ndim == 2:  # a circuit without rotations
-        rho = np.repeat(rho[None], len(stack), axis=0)
     return rho if np.ndim(theta) > 1 else rho[0]
 
 
@@ -249,13 +233,13 @@ def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     plan = state._plan
     n, dim = len(stack), len(state.initial)
     suffixes = np.empty((len(plan.gens), n, dim, dim), dtype=complex)
-    slots = iter(suffixes)  # W_j of each rotation, in sweep order
+    slots = iter(suffixes[::-1])  # W_j of each rotation, filled in sweep order
     w = _identity(dim, complex)
-    for gate, u in zip(reversed(state.gates), reversed(_unitaries(state, stack))):
+    for gate, u in zip(reversed(state.gates), reversed(gate_unitary(state, stack))):
         if gate.param is not None:
             next(slots)[...] = w
         w = w @ u
-    terms = suffixes @ plan.gens @ suffixes.conj().swapaxes(-1, -2)
+    terms = suffixes @ plan.gens[:, None] @ suffixes.conj().swapaxes(-1, -2)
     a = np.zeros((n, state.n_params, dim, dim), dtype=complex)
     for rows, params in plan.layers:  # a repeated parameter adds its terms in sweep order
         a[:, params] += terms[rows].swapaxes(0, 1)

@@ -1,5 +1,7 @@
 import functools
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -349,6 +351,37 @@ def test_flag_value_may_start_with_minus(monkeypatch, flag, text, value):
     assert cli.main(["run", f"{flag}={text}"]) == 0
     assert seen[0] == seen[1]
     assert getattr(seen[0], flag[2:].replace("-", "_")) == value
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--theta0", "-inf,0,0"], "theta0"),
+        (["--experiment", "three-qubit-heisenberg", "--omega", "-inf"], "omega"),
+    ],
+)
+def test_non_finite_value_after_a_flag_is_named(tmp_path, capsys, flags, field):
+    assert cli.main(["run", *flags, "--steps", "3", "--out", str(tmp_path / "no.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field} ")
+
+
+def test_a_switch_takes_no_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["run", "--diagonal", "-h"])
+    assert info.value.code == 0
+    assert "--theta0" in capsys.readouterr().out
+
+
+def test_module_run_prints_nothing_on_stderr():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run(
+        [sys.executable, "-m", "qngm.cli", "run", "--help"], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    assert "--theta0" in result.stdout
+    assert result.stderr == ""
 
 
 def test_witness_is_found_for_seeds_0_to_49():

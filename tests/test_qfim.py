@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qngm import classical, cli, divergence, petz, qfim, states
@@ -238,6 +238,8 @@ _FUNCTIONS = st.recursive(
 )
 # (dimension, seed, number of tangents) of a random full-rank state and its tangents
 _CASES = st.tuples(st.integers(2, 4), st.integers(0, 2**32 - 1), st.integers(1, 3))
+# max|G| is 7.4e5 for st:-3, and G's imaginary rounding residue is 3.6e-10
+_LARGE_METRIC_CASE = (4, 416472, 3)
 
 
 def _state_and_tangents(dim, seed, k):
@@ -257,6 +259,7 @@ def test_metric_is_psd_for_operator_monotone_f(f, case):
 
 @settings(max_examples=60, deadline=None)
 @given(_FUNCTIONS, _CASES)
+@example(petz.standard(-3.0), _LARGE_METRIC_CASE)
 def test_metric_is_unitarily_covariant(f, case):
     rho, tangents = _state_and_tangents(*case)
     dim = rho.shape[0]
@@ -312,6 +315,7 @@ _POSITIVE_AT_ZERO = [f for f in FAMILIES + [petz.ZERO_PLUS] if petz.eval_zero(f)
 
 @settings(max_examples=60, deadline=None)
 @given(_FUNCTIONS, _CASES)
+@example(petz.standard(-3.0), _LARGE_METRIC_CASE)
 def test_metric_matches_the_pair_loop_on_full_rank_states(f, case):
     rho, tangents = _state_and_tangents(*case)
     g = qfim.metric(rho, tangents, f)
@@ -328,6 +332,14 @@ def test_metric_matches_the_pair_loop_on_rank_deficient_states(f, case, rank):
     g = qfim.metric(rho, tangents, f)
     np.testing.assert_allclose(g, loop_metric(rho, tangents, f), rtol=0, atol=1e-12 * np.abs(g).max())
     np.testing.assert_array_equal(qfim.metric(rho, np.stack(tangents), f), g)
+
+
+def test_complex_metric_raises_at_any_scale():
+    rho = states.bloch_state(0.3, 0.0, 0.2)
+    x = states.SIGMA_X
+    for scale in (1.0, 1e6):  # the anti-Hermitian 1j X makes G[0, 1] purely imaginary
+        with pytest.raises(NumericalError, match="imaginary residue"):
+            qfim.metric(rho, [scale * x, scale * 1j * x], petz.SLD)
 
 
 def test_metric_of_no_tangents_is_empty():
@@ -374,6 +386,7 @@ def _assert_stack_is_single_calls(rho, x, f):
 
 @settings(max_examples=60, deadline=None)
 @given(_FUNCTIONS, _STACKS)
+@example(petz.standard(-3.0), (4, 3, [(0, 4), (416472, 4)]))
 def test_stacked_metric_is_single_calls_on_full_rank_stacks(f, case):
     dim, k, members = case
     _assert_stack_is_single_calls(*_stack(dim, k, [(seed, dim) for seed, _ in members]), f)
@@ -493,7 +506,7 @@ def test_stacked_metric_takes_one_function_per_member(case, data):
     for n, f in enumerate(fs):
         try:
             singles.append(qfim.metric(rho[n], x[n], f))
-        except QngmError as exc:  # e.g. an imaginary residue above IMAG_TOL for st:-3
+        except QngmError as exc:
             singles.append(type(exc))
     errors = [s for s in singles if isinstance(s, type)]
     if errors:  # the stack raises as a member's single call does

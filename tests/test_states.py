@@ -185,17 +185,17 @@ def test_passes_have_the_bits_of_the_gate_by_gate_products(name):
     circ, _, theta0 = cli.build_experiment(cli.ExperimentConfig(experiment=name))
     rng = np.random.default_rng(3)
     for theta in theta0 + rng.normal(size=(5, theta0.size)):
+        unitaries = states.gate_unitary(circ, theta)
         rho = circ.initial.astype(complex)
-        for gate in circ.gates:
-            u = states.gate_unitary(circ, gate, theta)
+        for u in unitaries:
             rho = u @ rho @ u.conj().T
         assert states.evaluate(circ, theta).tobytes() == rho.tobytes()
         a = np.zeros((circ.n_params, *circ.initial.shape), dtype=complex)
         w = np.eye(len(circ.initial), dtype=complex)
-        for gate in reversed(circ.gates):
+        for gate, u in zip(reversed(circ.gates), reversed(unitaries)):
             if gate.param is not None:
                 a[gate.param] += w @ states.gate_generator(circ, gate) @ w.conj().T
-            w = w @ states.gate_unitary(circ, gate, theta)
+            w = w @ u
         rho = w @ circ.initial @ w.conj().T
         assert states.derivatives(circ, theta).tobytes() == (-0.5j * (a @ rho - rho @ a)).tobytes()
 
@@ -203,15 +203,15 @@ def test_passes_have_the_bits_of_the_gate_by_gate_products(name):
 def test_gate_unitary_is_the_kronecker_chain():
     theta = np.array([0.0, 0.3, -1.7, np.pi, 5.5])
     for n in (1, 2, 3, 4):
-        circ = states.CircuitState(n, np.eye(2**n, dtype=complex) / 2**n, (), theta.size)
-        for wire in range(n):
-            for kind in ("rz", "ry"):
-                for k in range(theta.size):
-                    gate = states.Gate(kind, wire, param=k)
-                    u = states.gate_unitary(circ, gate, theta)
-                    assert np.abs(u - kron_gate(n, gate, theta)).max() <= 1e-15
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        states.gate_unitary(circ, states.Gate("rx", 0, param=0), theta)
+        gates = tuple(
+            states.Gate(kind, wire, param=k)
+            for wire in range(n)
+            for kind in ("rz", "ry")
+            for k in range(theta.size)
+        )
+        circ = states.CircuitState(n, np.eye(2**n, dtype=complex) / 2**n, gates, theta.size)
+        for gate, u in zip(gates, states.gate_unitary(circ, theta)):
+            assert np.abs(u - kron_gate(n, gate, theta)).max() <= 1e-15
 
 
 def push_forward_derivatives(state, theta):
