@@ -153,7 +153,7 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             problems.append(f"{name} = {value} outside [0, 1)")
         elif name in ("epsilon", "eta", "rank_tol") and value <= 0.0:
             problems.append(f"{name} = {value} must be positive")
-        elif name in ("steps", "grad_tol") and value < 0:
+        elif name in ("steps", "grad_tol", "seed") and value < 0:
             problems.append(f"{name} = {value} must be >= 0")
     for spec in [config.metric, *map(_sweep_spec, config.sweep_alpha or ())]:
         try:
@@ -425,6 +425,8 @@ def run_properties(seed: int, samples: int) -> Tuple[str, bool]:
     """Aggregate the invariant suites into a text report; ok = all passed."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed = {seed} must be >= 0")
     lines = []
     all_ok = True
     for name, ok, detail in _property_lines(seed, samples):

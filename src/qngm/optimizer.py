@@ -144,16 +144,15 @@ class Trajectory:
         return np.array([r.cost for r in self.records])
 
 
-def _lockstep(fn, live: List[int], trajectories: List[Trajectory], theta: np.ndarray):
+def _lockstep(fn, live: List[int], trajectories: List[Trajectory]):
     """fn(rows) for every live member at once, rows indexing ``live``.
 
     If that raises a QngmError, fn runs on each member alone, as a run of
     that member alone would, and a member that fails there leaves with its
-    error.  Returns the members kept, their rows of theta and fn's outputs
-    for them (None if no member is kept).
+    error.  Returns the members kept and fn's outputs for them.
     """
     try:
-        return live, theta, fn(slice(None))
+        return live, fn(slice(None))
     except QngmError:
         pass
     kept, outputs = [], []
@@ -163,15 +162,8 @@ def _lockstep(fn, live: List[int], trajectories: List[Trajectory], theta: np.nda
         except QngmError as exc:
             trajectories[member].error = f"{type(exc).__name__}: {exc}"
         else:
-            kept.append(row)
-    if not kept:
-        return [], theta[:0], None
-    return [live[i] for i in kept], theta[kept], tuple(map(np.concatenate, zip(*outputs)))
-
-
-def _keep(going: List[bool], live: List[int], *stacks):
-    """The members of live where ``going`` holds, and the same rows of each stack."""
-    return ([m for m, g in zip(live, going) if g], *(stack[going] for stack in stacks))
+            kept.append(member)
+    return kept, tuple(map(np.concatenate, zip(*outputs)))
 
 
 def run(
@@ -194,65 +186,57 @@ def run(
     ``f`` is one Petz function, which gives one Trajectory, or a sequence
     of N, which gives N.  The N runs start at the same theta0 and step in
     lockstep as one stack, and a single run is a stack of one.  Each
-    member's records equal those of its run alone, bit for bit.  A member
-    leaves the stack when it converges or aborts.  Any package error aborts
-    a member's run and is reported on its trajectory's ``error`` tag
-    together with the records accumulated so far.
+    member's records equal those of its run alone, bit for bit.  Each step
+    is one call on the stack: it moves the members from their last record
+    and measures them at the new theta, and if either part fails, the call
+    is replayed member by member.  A member leaves the stack after a record
+    whose |grad| is below ``grad_tol`` or GRAD_ZERO (where its step would
+    be zero), or when it aborts.  Any package error aborts a member's run
+    and is reported on its trajectory's ``error`` tag together with the
+    records accumulated so far.
     """
     if rule not in RULES:
         raise ValueError(f"unknown update rule {rule!r}")
     single = isinstance(f, petz.PetzFunction)
     fs = [f] if single else list(f)
     trajectories = [Trajectory() for _ in fs]
-    # the members still stepping: member live[i] is at theta[i]
+    # the members still stepping: member live[i] measured G[i] and grad[i] at theta[i]
     live = list(range(len(fs)))
     theta = np.repeat(np.asarray(theta0, dtype=float)[None], len(fs), axis=0)
+    move, size = (step_trust, epsilon) if rule == "trust" else (step_lr, eta)
 
-    def measure(rows):
+    def advance(rows):
+        """Move the rows by the rule from their last G and grad, then measure them there."""
         th = theta[rows]
+        if step:  # step 0 measures theta0
+            th = th + move(G[rows], grad[rows], size)[0]
         if not np.isfinite(th).all():
             raise NumericalError(f"non-finite theta at step {step}")
         rho = states.evaluate(state, th)
         derivs = states.derivatives(state, th)
         rho_reg = states.regularize_state(rho, delta)
-        G = qfim.metric(rho_reg, (1.0 - delta) * derivs, live_fs[rows], rank_tol)
+        G_th = qfim.metric(rho_reg, (1.0 - delta) * derivs, live_fs[rows], rank_tol)
         if use_diagonal:
-            G = qfim.diagonal(G)
-        G = qfim.regularize_metric(G, xi)
-        value, grad = cost_and_gradient(cost, rho, derivs)
-        if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+            G_th = qfim.diagonal(G_th)
+        G_th = qfim.regularize_metric(G_th, xi)
+        value, grad_th = cost_and_gradient(cost, rho, derivs)
+        if not (np.isfinite(value).all() and np.isfinite(grad_th).all()):
             raise NumericalError(f"non-finite cost or gradient at step {step}")
-        return G, grad, value, _norm(grad), condition_number(G)
-
-    def advance(rows):
-        if rule == "trust":
-            return step_trust(G[rows], grad[rows], epsilon)
-        return step_lr(G[rows], grad[rows], eta)
+        return th, G_th, grad_th, value, _norm(grad_th), condition_number(G_th)
 
     for step in range(max_steps + 1):
         if not live:
             break
         live_fs = [fs[m] for m in live]
-        live, theta, measured = _lockstep(measure, live, trajectories, theta)
+        live, measured = _lockstep(advance, live, trajectories)
         if not live:
             break
-        G, grad, value, grad_norm, cond = measured
-        norms = grad_norm.tolist()
+        theta, G, grad, value, norms, cond = measured
+        norms = norms.tolist()
         for member, th, v, n, c in zip(live, theta, value.tolist(), norms, cond.tolist()):
             trajectories[member].records.append(TrajectoryRecord(step, th.copy(), v, n, c))
-        if step == max_steps:
-            break
-        going = [not n < grad_tol for n in norms]
+        going = [not (n < grad_tol or n < GRAD_ZERO) for n in norms]
         if not all(going):
-            live, theta, G, grad = _keep(going, live, theta, G, grad)
-            if not live:
-                break
-        live, theta, stepped = _lockstep(advance, live, trajectories, theta)
-        if not live:
-            break
-        dtheta, converged = stepped
-        going = (~converged).tolist()
-        if not all(going):
-            live, theta, dtheta = _keep(going, live, theta, dtheta)
-        theta = theta + dtheta
+            live = [m for m, g in zip(live, going) if g]
+            theta, G, grad = theta[going], G[going], grad[going]
     return trajectories[0] if single else trajectories

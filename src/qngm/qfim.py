@@ -58,8 +58,6 @@ def metric(
         f = list(f)
         if batch != (len(f),):
             raise ShapeMismatchError(f"{len(f)} Petz functions for states {np.shape(rho)}")
-        if len(set(map(id, f))) == 1:  # one function for the whole stack
-            f = f[0]
     try:
         x = np.asarray(tangents, dtype=complex)
     except ValueError:  # a ragged list

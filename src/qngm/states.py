@@ -35,7 +35,9 @@ def bloch_state(x: float, y: float, z: float) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
     """Pauli operator on one wire, identity elsewhere; cached, so returned read-only."""
-    op = _embed(n_qubits, wire, PAULI[which])
+    op = np.array([[1.0]], dtype=complex)
+    for w in range(n_qubits):
+        op = np.kron(op, PAULI[which] if w == wire else np.eye(2, dtype=complex))
     op.setflags(write=False)
     return op
 
@@ -143,19 +145,11 @@ def r3_gates(wire: int, first_param: int) -> Tuple[Gate, ...]:
     )
 
 
-def _embed(n_qubits: int, wire: int, u2: np.ndarray) -> np.ndarray:
-    op = np.array([[1.0]], dtype=complex)
-    for w in range(n_qubits):
-        op = np.kron(op, u2 if w == wire else np.eye(2, dtype=complex))
-    return op
-
-
 @functools.lru_cache(maxsize=None)
 def _cnot(n_qubits: int, control: int, target: int) -> np.ndarray:
-    """P0(control) + P1(control) X(target); cached, so returned read-only."""
-    p0 = _embed(n_qubits, control, np.diag([1.0, 0.0]).astype(complex))
-    p1 = _embed(n_qubits, control, np.diag([0.0, 1.0]).astype(complex))
-    u = p0 + p1 @ _embed(n_qubits, target, SIGMA_X)
+    """(I + Z(control)) / 2 + (I - Z(control)) X(target) / 2; cached, so returned read-only."""
+    eye, z = _identity(2**n_qubits, complex), pauli_on(n_qubits, control, "z")
+    u = 0.5 * (eye + z) + 0.5 * (eye - z) @ pauli_on(n_qubits, target, "x")
     u.setflags(write=False)
     return u
 

@@ -317,6 +317,27 @@ def test_properties_bad_seed_env_is_a_config_error(monkeypatch):
     assert cli.main(["properties", "--samples", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["properties", "--seed", "-1", "--samples", "5"], None),
+        (["properties", "--samples", "5"], "-3"),
+        (["run", "--seed", "-1", "--steps", "3"], None),
+        (["run", "--steps", "3"], "-1"),
+    ],
+)
+def test_a_negative_seed_is_a_config_error(monkeypatch, capsys, argv, env):
+    if env is None:
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV, env)
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", runs.append)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: seed = -")
+    assert runs == []
+
+
 def test_bad_sweep_alpha_fails_before_running(tmp_path, monkeypatch):
     runs = []
     monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))

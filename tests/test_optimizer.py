@@ -325,20 +325,26 @@ def test_a_member_below_grad_tol_leaves_the_stack():
     for f, traj in zip([fast, slow, fast], stacked):
         solo = optimizer.run(circuit, cost, f, theta0, grad_tol=grad_tol, **options)
         assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+        reference = reference_run(circuit, cost, f, theta0, grad_tol=grad_tol, **options)
+        assert fingerprint(traj) == fingerprint(reference)
 
 
 def test_a_member_with_a_vanishing_gradient_leaves_the_stack():
     circuit, cost, _ = experiment()
     theta0 = np.array([0.3, 0.2, 0.1])
     fs = [petz.sandwiched(-1.0), petz.sandwiched(0.1)]
-    options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=0.0)
-    stacked = optimizer.run(circuit, cost, fs, theta0, **options)
-    # the fast member's |grad| falls below GRAD_ZERO and its step reports convergence
-    assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
-    assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
-    for f, traj in zip(fs, stacked):
-        solo = optimizer.run(circuit, cost, f, theta0, **options)
-        assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+    # a nan grad_tol stops no member, so GRAD_ZERO alone decides
+    for grad_tol in (0.0, np.nan):
+        options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=grad_tol)
+        stacked = optimizer.run(circuit, cost, fs, theta0, **options)
+        # the fast member's |grad| falls below GRAD_ZERO, where its step would report convergence
+        assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
+        assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
+        for f, traj in zip(fs, stacked):
+            solo = optimizer.run(circuit, cost, f, theta0, **options)
+            reference = reference_run(circuit, cost, f, theta0, **options)
+            assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+            assert fingerprint(traj) == fingerprint(reference)
 
 
 def test_an_aborting_member_keeps_its_own_error():
@@ -353,6 +359,32 @@ def test_an_aborting_member_keeps_its_own_error():
     assert [t.error is None for t in stacked] == [False, True, False]
     assert stacked[0].error.startswith("MetricUndefinedError") and stacked[0].records == []
     assert len(stacked[1].records) == 7
+
+
+@pytest.mark.parametrize("rule", optimizer.RULES)
+def test_a_failing_step_is_replayed_member_by_member(monkeypatch, rule):
+    circuit, cost, theta0 = experiment("two-qubit")
+    options = dict(rule=rule, max_steps=16)
+    solos = [optimizer.run(circuit, cost, f, theta0, **options) for f in STACK]
+    # the solve of member 1's step from its record 10 fails, wherever it is solved
+    doomed = solos[1].records[10]
+
+    def solve(G, grad):
+        norms = np.atleast_1d(optimizer._norm(grad)).tolist()
+        conds = np.atleast_1d(condition_number(G)).tolist()
+        if (doomed.grad_norm, doomed.metric_cond) in zip(norms, conds):
+            raise NumericalError("metric is singular")
+        return solve_sym(G, grad)
+
+    monkeypatch.setattr(optimizer, "solve_sym", solve)
+    stacked = optimizer.run(circuit, cost, STACK, theta0, **options)
+    failed = optimizer.run(circuit, cost, STACK[1], theta0, **options)
+    assert failed.error == "NumericalError: metric is singular"
+    assert fingerprint(failed)[0] == fingerprint(solos[1])[0][:11]
+    assert fingerprint(stacked[1]) == fingerprint(failed)
+    for n in (0, 2, 3):
+        assert fingerprint(stacked[n]) == fingerprint(solos[n])
+        assert stacked[n].error is None and len(stacked[n].records) == 17
 
 
 def test_non_finite_start_aborts_every_member():
