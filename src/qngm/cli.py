@@ -160,6 +160,8 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
             petz.parse(spec)
         except ParseError as exc:
             problems.append(str(exc))
+    if config.sweep_alpha is not None and not config.sweep_alpha:
+        problems.append("sweep_alpha lists no alpha")
     if config.sweep_alpha and len(set(config.sweep_alpha)) < len(config.sweep_alpha):
         problems.append(f"sweep_alpha {config.sweep_alpha} lists an alpha twice")
     for name in ("theta0", "theta_star", "bloch"):

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import petz, qfim, states
-from .errors import NumericalError, QngmError, ShapeMismatchError
+from .errors import NumericalError, QngmError, ShapeMismatchError, ValidationError
 from .linalg import HERMITIAN_TOL, _identity, condition_number, solve_sym
 
 GRAD_ZERO = 1e-10
@@ -193,10 +193,19 @@ def run(
     whose |grad| is below ``grad_tol`` or GRAD_ZERO (where its step would
     be zero), or when it aborts.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
-    records accumulated so far.
+    records accumulated so far.  A bad ``rule``, ``eta``, ``epsilon``,
+    ``delta`` or ``xi`` raises ValidationError before any circuit pass; the
+    bounds are those of the functions that consume each value.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown update rule {rule!r}")
+    problems = [] if rule in RULES else [f"unknown update rule {rule!r}"]
+    for name, value in (("eta", eta), ("epsilon", epsilon)):
+        if value <= 0.0:
+            problems.append(f"{name} = {value} must be positive")
+    for name, value in (("delta", delta), ("xi", xi)):
+        if not 0.0 <= value <= 1.0:
+            problems.append(f"{name} = {value} outside [0, 1]")
+    if problems:
+        raise ValidationError("; ".join(problems))
     single = isinstance(f, petz.PetzFunction)
     fs = [f] if single else list(f)
     trajectories = [Trajectory() for _ in fs]

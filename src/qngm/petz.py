@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, ShapeMismatchError
 
 TAYLOR_WINDOW = 1e-6
 ALPHA_EPS = 1e-6
@@ -97,7 +97,12 @@ def linear(alpha: float, f1: PetzFunction, f2: PetzFunction) -> PetzFunction:
     return f
 
 
-def _eval_sw(alpha: float, t, u):
+def _index(fs, t):
+    """The alphas of a group of one kind as an (n, 1, ...) array, to broadcast over t."""
+    return np.array([f.alpha for f in fs]).reshape((-1,) + (1,) * (t.ndim - 1))
+
+
+def _eval_sw(alpha, t, u):
     # (1 - a)(1 - t^(1/a)) / (1 - t^((1-a)/a)) = (1 - a) expm1(u/a) / expm1((1-a)u/a)
     a = u / alpha
     b = (1.0 - alpha) * u / alpha
@@ -108,7 +113,7 @@ def _eval_sw(alpha: float, t, u):
     return np.where(np.maximum(a, b) > 500.0, rescued, direct)
 
 
-def _eval_st(alpha: float, t, u):
+def _eval_st(alpha, t, u):
     # denominator 1 + t - t^(1-a) - t^a factors as (1 - t^a)(1 - t^(1-a))
     num = alpha * (1.0 - alpha) * np.expm1(u) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
@@ -116,10 +121,18 @@ def _eval_st(alpha: float, t, u):
     return num / den
 
 
+def _eval_lin(fs, t, u):
+    weight = _index(fs, t)
+    left, right = evaluate([f.left for f in fs], t), evaluate([f.right for f in fs], t)
+    return (1.0 - weight) * left + weight * right
+
+
 class _Kind(NamedTuple):
     """Everything the package knows about one kind of Petz function.
 
-    ``value(f, t, u)`` is f(t) for t > 0.  A ``taylor`` kind's closed form
+    ``value(fs, t, u)`` is f(t) for t > 0, stacked: fs lists n functions of
+    this kind and member i gets fs[i] at t[i].  A kind with an index reads
+    it as one (n, 1, ...) array.  A ``taylor`` kind's closed form
     degenerates at t = 1; it is called with t moved out of the Taylor window
     and u = ln t, and 1 + (t - 1)/2 is returned inside the window.  The other fields
     map f to f(0+), its operator-monotone classification (None when not
@@ -149,17 +162,17 @@ def _lin_monotone(f: PetzFunction) -> Optional[bool]:
 # sw:a is operator monotone iff 1/a in [-1, 2], st:a iff a in [-1, 2], and an
 # affine combination of monotone functions with weight in [0, 1] is monotone.
 _KINDS = {
-    "sld": _fixed(lambda f, t, u: 0.5 * (1.0 + t), False, 0.5, True, "sld", ("sandwiched", 0.5)),
-    "bkm": _fixed(lambda f, t, u: np.expm1(u) / u, True, 0.0, True, "bkm", ("sandwiched", 1.0)),
+    "sld": _fixed(lambda fs, t, u: 0.5 * (1.0 + t), False, 0.5, True, "sld", ("sandwiched", 0.5)),
+    "bkm": _fixed(lambda fs, t, u: np.expm1(u) / u, True, 0.0, True, "bkm", ("sandwiched", 1.0)),
     "rrld": _fixed(
-        lambda f, t, u: 2.0 * t / (1.0 + t), False, 0.0, True, "rrld", ("sandwiched", -1.0)
+        lambda fs, t, u: 2.0 * t / (1.0 + t), False, 0.0, True, "rrld", ("sandwiched", -1.0)
     ),
-    "half": _fixed(lambda f, t, u: np.sqrt(t), False, 0.0, True, "half", ("sandwiched", 2.0)),
-    "sw0+": _fixed(lambda f, t, u: np.maximum(t, 1.0), False, 1.0, False, "sw:0+"),
-    "sw0-": _fixed(lambda f, t, u: np.minimum(t, 1.0), False, 0.0, False, "sw:0-"),
-    "swinf": _fixed(lambda f, t, u: t * u / np.expm1(u), True, 0.0, True, "sw:inf"),
+    "half": _fixed(lambda fs, t, u: np.sqrt(t), False, 0.0, True, "half", ("sandwiched", 2.0)),
+    "sw0+": _fixed(lambda fs, t, u: np.maximum(t, 1.0), False, 1.0, False, "sw:0+"),
+    "sw0-": _fixed(lambda fs, t, u: np.minimum(t, 1.0), False, 0.0, False, "sw:0-"),
+    "swinf": _fixed(lambda fs, t, u: t * u / np.expm1(u), True, 0.0, True, "sw:inf"),
     "sw": _Kind(
-        lambda f, t, u: _eval_sw(f.alpha, t, u),
+        lambda fs, t, u: _eval_sw(_index(fs, t), t, u),
         True,
         lambda f: 1.0 - f.alpha if 0.0 < f.alpha < 1.0 else 0.0,
         lambda f: f.alpha <= -1.0 or f.alpha >= 0.5,
@@ -167,7 +180,7 @@ _KINDS = {
         lambda f: ("sandwiched", f.alpha),
     ),
     "st": _Kind(
-        lambda f, t, u: _eval_st(f.alpha, t, u),
+        lambda fs, t, u: _eval_st(_index(fs, t), t, u),
         True,
         lambda f: f.alpha * (1.0 - f.alpha) if 0.0 < f.alpha < 1.0 else 0.0,
         lambda f: -1.0 <= f.alpha <= 2.0,
@@ -175,7 +188,7 @@ _KINDS = {
         lambda f: ("standard", f.alpha),
     ),
     "lin": _Kind(
-        lambda f, t, u: (1.0 - f.alpha) * evaluate(f.left, t) + f.alpha * evaluate(f.right, t),
+        _eval_lin,
         False,
         lambda f: (1.0 - f.alpha) * eval_zero(f.left) + f.alpha * eval_zero(f.right),
         _lin_monotone,
@@ -186,35 +199,58 @@ _KINDS = {
 
 
 def _domain(t, taylor: bool = True):
-    """Check t > 0 and finite; returns (was scalar, t as 1-d, Taylor-window
-    mask, t moved out of the window, ln of that).  Without ``taylor`` there is
-    no window: (was scalar, t, None, t, None)."""
-    t = np.asarray(t, dtype=float)
+    """Check t > 0 and finite; returns (Taylor-window mask, t moved out of
+    the window, ln of that).  Without ``taylor`` there is no window:
+    (None, t, None)."""
     if not ((0.0 < t) & (t < np.inf)).all():  # nan fails both
         raise DomainError("Petz functions are defined on t > 0")
-    scalar = t.ndim == 0
-    if scalar:
-        t = t.reshape(1)
     if not taylor:
-        return scalar, t, None, t, None
+        return None, t, None
     near_one = np.abs(t - 1.0) < TAYLOR_WINDOW
     safe = np.where(near_one, 2.0, t)
-    return scalar, t, near_one, safe, np.log(safe)
+    return near_one, safe, np.log(safe)
 
 
-def evaluate(f: PetzFunction, t):
-    """Evaluate a Petz function at t > 0 (scalar or array)."""
-    kind = _KINDS[f.kind]
-    scalar, t, near_one, safe, u = _domain(t, kind.taylor)
-    out = kind.value(f, safe, u)
-    if kind.taylor:
-        out = np.where(near_one, 1.0 + 0.5 * (t - 1.0), out)
-    return float(out[0]) if scalar else out
+def evaluate(f: Union[PetzFunction, Sequence[PetzFunction]], t):
+    """Evaluate a Petz function at t > 0 (scalar or array).
+
+    ``f`` may also be a sequence of N functions, with t of shape (N, ...):
+    member n gets f[n] at t[n], with the bits of its own call.  One function
+    is a stack of one.  The stack is checked once, and each kind's closed
+    form runs once on all members of that kind.
+    """
+    single = isinstance(f, PetzFunction)
+    fs, t = [f] if single else list(f), np.asarray(t, dtype=float)
+    stack = t[None] if single else t
+    if stack.ndim == 0 or len(stack) != len(fs):
+        raise ShapeMismatchError(f"{len(fs)} Petz functions for points of shape {t.shape}")
+    groups = {}
+    for n, g in enumerate(fs):
+        groups.setdefault(g.kind, []).append(n)
+    near_one, safe, u = _domain(stack, any(_KINDS[kind].taylor for kind in groups))
+    out = np.empty(stack.shape)
+    for kind, rows in groups.items():
+        entry, group = _KINDS[kind], [fs[n] for n in rows]
+        if len(rows) == len(fs):
+            rows = slice(None)  # one kind: views, not copies
+        if entry.taylor:
+            value = entry.value(group, safe[rows], u[rows])
+            out[rows] = np.where(near_one[rows], 1.0 + 0.5 * (stack[rows] - 1.0), value)
+        else:
+            out[rows] = entry.value(group, stack[rows], None)
+    if not single:
+        return out
+    return float(out[0]) if t.ndim == 0 else out[0]
 
 
-def eval_zero(f: PetzFunction) -> float:
-    """Limit of f(t) as t -> 0+; must be positive for rank-deficient metrics."""
-    return _KINDS[f.kind].zero(f)
+def eval_zero(f: Union[PetzFunction, Sequence[PetzFunction]]):
+    """Limit of f(t) as t -> 0+; must be positive for rank-deficient metrics.
+
+    For a sequence of N functions, the (N,) array of their limits.
+    """
+    single = isinstance(f, PetzFunction)
+    out = np.array([_KINDS[g.kind].zero(g) for g in ([f] if single else f)], dtype=float)
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -298,13 +334,14 @@ def beta_derivative(beta: float, t) -> float:
     """
     if not np.isfinite(beta) or beta in (0.0, 1.0):
         raise DomainError(f"beta derivative undefined at beta = {beta}")
-    scalar, _, near_one, safe, u = _domain(t)
+    t = np.asarray(t, dtype=float)
+    near_one, safe, u = _domain(np.atleast_1d(t))
     num = np.expm1(beta * u) * np.expm1((beta - 1.0) * u) + beta * (1.0 - beta) * safe ** (
         beta - 1.0
     ) * u * (safe - 1.0)
     den = beta**2 * np.expm1((beta - 1.0) * u) ** 2
     out = np.where(near_one, 0.0, num / den)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if t.ndim == 0 else out
 
 
 def is_operator_monotone(f: PetzFunction) -> Optional[bool]:

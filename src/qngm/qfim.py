@@ -50,7 +50,9 @@ def metric(
     N states, rho is (N, d, d), ``tangents`` is (N, K, d, d) and the result
     is (N, K, K), equal bit for bit to N single calls: one stacked ``eigh``
     and one batched GEMM serve the whole stack.  ``f`` is one Petz function
-    for every member, or a sequence of N, one per member.
+    for every member, or a sequence of N, one per member; either way it goes
+    unchanged to one ``petz.evaluate`` call (and one ``petz.eval_zero`` call
+    for a rank-deficient stack), which evaluates each kind once.
     """
     p, v = check_density(rho)  # p is (..., d), v is (..., d, d)
     batch, dim = p.shape[:-1], p.shape[-1]
@@ -72,7 +74,7 @@ def metric(
     small = p < rank_tol
     deficient = small.any()  # full-rank states skip the kernel handling
     if deficient:
-        f0 = np.broadcast_to(_per_member(petz.eval_zero, f), batch)
+        f0 = np.broadcast_to(petz.eval_zero(f), batch)
         member_deficient = small.any(axis=-1)
         undefined = member_deficient & (f0 <= 0.0)
         if undefined.any():
@@ -83,7 +85,7 @@ def metric(
         f0 = np.where(member_deficient, f0, 1.0)[..., None, None]
         p = np.where(small, 1.0, p)  # a placeholder: weights touching the kernel are set below
     ratios = p[..., :, None] / p[..., None, :]
-    weights = 1.0 / (p[..., None, :] * _per_member(petz.evaluate, f, ratios))
+    weights = 1.0 / (p[..., None, :] * petz.evaluate(f, ratios))
     if deficient:
         small_i, small_j = small[..., :, None], small[..., None, :]
         # one index in the kernel: denominator continues to p_big * f(0)
@@ -111,14 +113,6 @@ def metric(
         raise NumericalError(f"metric has imaginary residue {residue[bad].max():.3e}")
     g = g.real
     return 0.5 * (g + g.swapaxes(-1, -2))
-
-
-def _per_member(fn, f, *args):
-    """fn(f, *args) for one Petz function; for a sequence, fn of each
-    function on its member's slice of args, stacked."""
-    if isinstance(f, petz.PetzFunction):
-        return fn(f, *args)
-    return np.array([fn(g, *(arg[n] for arg in args)) for n, g in enumerate(f)])
 
 
 def metric_pure(

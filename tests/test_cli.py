@@ -346,6 +346,16 @@ def test_bad_sweep_alpha_fails_before_running(tmp_path, monkeypatch):
     assert runs == []
 
 
+def test_an_empty_sweep_is_a_config_error(tmp_path, monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))
+    out = tmp_path / "o"
+    argv = ["run", "--experiment", "single-qubit", "--sweep-alpha", ",", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert "sweep_alpha lists no alpha" in capsys.readouterr().err
+    assert not out.exists() and runs == []
+
+
 def test_sweep_builds_the_experiment_once(tmp_path, monkeypatch):
     built = []
     build = cli.build_experiment

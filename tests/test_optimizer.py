@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qngm import cli, optimizer, petz, qfim, states
-from qngm.errors import NumericalError, QngmError, ShapeMismatchError
+from qngm.errors import NumericalError, QngmError, ShapeMismatchError, ValidationError
 from qngm.linalg import condition_number, solve_sym
 
 
@@ -215,6 +215,41 @@ def test_run_builds_the_state_once_per_record(monkeypatch, name):
     traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", max_steps=4)
     assert traj.error is None and len(traj.records) == 5
     assert calls.count("evaluate") == calls.count("derivatives") == 5
+
+
+@pytest.mark.parametrize(
+    "options, name",
+    [
+        (dict(eta=-1.0, max_steps=0), "eta"),
+        (dict(eta=-1.0, max_steps=3), "eta"),
+        (dict(rule="trust", epsilon=0.0), "epsilon"),
+        (dict(delta=2.0), "delta"),
+        (dict(delta=-0.5), "delta"),
+        (dict(xi=1.5), "xi"),
+        (dict(xi=np.nan), "xi"),
+        (dict(rule="sgd"), "rule"),
+    ],
+)
+def test_bad_step_options_fail_before_any_circuit_pass(monkeypatch, options, name):
+    circuit, cost, theta0 = experiment()
+    calls = []
+    for fn_name in ("evaluate", "derivatives"):
+        monkeypatch.setattr(states, fn_name, counting(calls, states, fn_name))
+    for f in (petz.SLD, [petz.SLD, petz.BKM]):
+        with pytest.raises(ValidationError, match=name):
+            optimizer.run(circuit, cost, f, theta0, **options)
+    assert calls == []
+
+
+def test_a_sweep_step_makes_one_petz_call(monkeypatch):
+    circuit, cost, theta0 = experiment()
+    calls = []
+    monkeypatch.setattr(petz, "evaluate", counting(calls, petz, "evaluate"))
+    fs = [petz.sandwiched(a) for a in (0.1, 0.2, 0.3, 0.4, 0.5, -1.0)]
+    steps = 5
+    trajectories = optimizer.run(circuit, cost, fs, theta0, rule="lr", max_steps=steps)
+    assert all(len(t.records) == steps + 1 and t.error is None for t in trajectories)
+    assert len(calls) == steps + 1  # not one per alpha
 
 
 def test_observable_must_be_hermitian():

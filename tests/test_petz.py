@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qngm import petz
-from qngm.errors import DomainError, ParseError
+from qngm.errors import DomainError, ParseError, ShapeMismatchError
 
 GRID = petz.default_grid()
 
@@ -289,3 +290,49 @@ _FUNCTIONS = st.recursive(
 @given(_FUNCTIONS)
 def test_parse_inverts_to_spec(f):
     assert petz.parse(petz.to_spec(f)) == f
+
+
+# points inside the Taylor window, just outside it, generic, and extreme enough
+# for _eval_sw's rescue branch (|ln t| / |alpha| > 500)
+_POINTS = st.one_of(
+    st.floats(1.0 - 0.9 * petz.TAYLOR_WINDOW, 1.0 + 0.9 * petz.TAYLOR_WINDOW),
+    st.sampled_from([1.0, 1.0 - 2e-6, 1.0 + 2e-6, 1e-300, 1e-30, 1e30, 1e300, np.e**60]),
+    st.floats(1e-300, 1e300),
+)
+
+
+@st.composite
+def _stacks(draw):
+    """N Petz functions (mixed kinds, nested lin) and t of shape (N,), (N, m) or (N, d, d)."""
+    n = draw(st.integers(1, 5))
+    fs = draw(st.lists(st.one_of(st.sampled_from(REGISTRY), _FUNCTIONS), min_size=n, max_size=n))
+    tail = draw(st.sampled_from([(), (draw(st.integers(1, 4)),), (draw(st.integers(1, 4)),) * 2]))
+    return fs, draw(arrays(float, (n, *tail), elements=_POINTS))
+
+
+@given(_stacks(), st.integers(0, 99), st.sampled_from([0.0, -1.0, np.nan, np.inf, -np.inf]))
+@example(([petz.sandwiched(0.1), petz.SLD], np.array([1e30, 1e30])), 0, 0.0)  # sw's rescue
+def test_stacked_evaluate_gives_each_member_the_bits_of_its_own_call(case, where, bad_value):
+    fs, t = case
+    with np.errstate(all="ignore"):  # st overflows at the extremes, alone as in a stack
+        stacked = petz.evaluate(fs, t)
+        for n, f in enumerate(fs):
+            assert stacked[n].tobytes() == np.asarray(petz.evaluate(f, t[n])).tobytes()
+    zeros = np.array([petz.eval_zero(f) for f in fs])
+    assert petz.eval_zero(fs).tobytes() == zeros.tobytes()
+    bad = t.copy()
+    bad.flat[where % t.size] = bad_value
+    with pytest.raises(DomainError):
+        petz.evaluate(fs, bad)
+    with pytest.raises(ShapeMismatchError):
+        petz.evaluate(fs, t[:-1])
+    with pytest.raises(ShapeMismatchError):
+        petz.evaluate(fs + [petz.SLD], t)
+
+
+def test_stacked_evaluate_rejects_a_scalar_t():
+    with pytest.raises(ShapeMismatchError):
+        petz.evaluate([petz.SLD], 2.0)
+    assert petz.evaluate([petz.SLD], [2.0]).tolist() == [1.5]
+    assert isinstance(petz.evaluate(petz.SLD, 2.0), float)
+    assert isinstance(petz.eval_zero(petz.SLD), float)

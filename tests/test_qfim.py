@@ -535,6 +535,25 @@ def test_per_member_functions_on_rank_deficient_stacks():
         qfim.metric(rho, x, [petz.SLD])
 
 
+def test_a_stack_evaluates_each_petz_kind_once(monkeypatch):
+    calls = []
+    for kind in ("sld", "sw"):
+        entry = petz._KINDS[kind]
+
+        def value(fs, t, u, kind=kind, inner=entry.value):
+            calls.append((kind, len(fs)))
+            return inner(fs, t, u)
+
+        monkeypatch.setitem(petz._KINDS, kind, entry._replace(value=value))
+    members = [_state_and_tangents(2, seed, 2) for seed in (1, 2, 3)]
+    rho, x = np.stack([m[0] for m in members]), np.stack([np.stack(m[1]) for m in members])
+    qfim.metric(rho[:2], x[:2], [petz.SLD, petz.sandwiched(0.3)])
+    assert calls == [("sld", 1), ("sw", 1)]
+    calls.clear()
+    qfim.metric(rho, x, [petz.sandwiched(0.3), petz.SLD, petz.sandwiched(2.0)])
+    assert sorted(calls) == [("sld", 1), ("sw", 2)]
+
+
 def test_stacked_diagonal_and_regularize():
     g = np.array([[[2.0, -1.0], [-1.0, 2.0]], [[1.0, 0.5], [0.5, 3.0]]])
     for n in range(2):
