@@ -76,8 +76,12 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_floats(text: str) -> Tuple[float, ...]:
+    """Comma-separated numbers; a value of only empty fields is the empty tuple."""
+    tokens = text.replace(" ", "").split(",")
+    if not any(tokens):
+        return ()
     try:
-        return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
+        return tuple(float(tok) for tok in tokens)
     except ValueError:
         raise ParseError(f"expected comma-separated numbers, got {text!r}") from None
 
@@ -277,7 +281,10 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
     started = time.perf_counter()
     if config.sweep_alpha:
         out_dir = config.out or "."
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make directory {out_dir}: {exc.strerror}") from None
         jobs = []
         for alpha in config.sweep_alpha:
             name = f"sw_alpha_{petz.alpha_text(alpha)}.csv".replace("-", "m")
@@ -304,7 +311,10 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
         if traj.error is not None:
             raise NumericalError(f"run aborted after {len(traj.records)} records: {traj.error}")
     for (_, path), traj in zip(jobs, trajectories):
-        write_csv(path, traj)
+        try:
+            write_csv(path, traj)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
     elapsed = time.perf_counter() - started
     for (spec, path), traj in zip(jobs, trajectories):
         print(

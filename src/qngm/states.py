@@ -78,8 +78,9 @@ class CircuitState:
     initial: np.ndarray
     gates: Tuple[Gate, ...]
     n_params: int
-    # (theta shape and bytes, gate matrices) of the latest circuit pass: a step
-    # evaluates and differentiates at one theta, so it builds them once
+    # (theta stack shape and bytes, rotation suffixes, rho) of the latest
+    # circuit pass, read-only: a step evaluates and differentiates at one
+    # theta, so one backward sweep serves both
     _latest: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,7 +169,7 @@ def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
     row = theta.shape[1:] if theta.ndim > 1 else theta.shape
     if row != (state.n_params,):
         raise ShapeMismatchError(f"theta shape {row}, expected ({state.n_params},)")
-    return theta.reshape(-1, state.n_params)
+    return theta if theta.ndim > 1 else theta[None]
 
 
 def gate_unitary(state: CircuitState, theta: np.ndarray) -> list:
@@ -177,37 +178,59 @@ def gate_unitary(state: CircuitState, theta: np.ndarray) -> list:
     Every rotation is cos(phi/2) I - i sin(phi/2) G, built for the whole
     circuit by one broadcast over the generators; a cnot is its cached
     matrix.  For a (K,) theta a rotation is (d, d), for a (N, K) stack
-    (N, d, d); a cnot is (d, d) either way.  The matrices of the latest
-    theta are kept, so a second circuit pass at the same theta reuses them.
+    (N, d, d); a cnot is (d, d) either way.  Nothing is kept: the circuit
+    pass calls this once per theta and keeps what it builds from it.
     """
     theta = np.asarray(theta, dtype=float)
     _check_theta(state, theta)
-    key = (theta.shape, theta.tobytes())
-    latest = state._latest[0]
-    if latest is not None and latest[0] == key:
-        return latest[1]
     plan = state._plan
     half = 0.5 * theta[..., plan.params, None, None]
     rotations = np.cos(half) * _identity(len(state.initial)) - 1j * np.sin(half) * plan.gens
-    rotations = iter(np.moveaxis(rotations, -3, 0))
-    matrices = [
+    rotations = iter(rotations.swapaxes(0, -3))  # (R, d, d) or (R, N, d, d)
+    return [
         _cnot(state.n_qubits, g.wire, g.target) if g.kind == "cnot" else next(rotations)
         for g in state.gates
     ]
-    state._latest[0] = (key, matrices)
-    return matrices
+
+
+def _circuit_pass(state: CircuitState, stack: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The suffix W_j of every rotation, (R, N, d, d), and rho = W rho_ini W^dagger.
+
+    One backward sweep over the matrices of one ``gate_unitary`` call grows
+    the product W of the gates after each rotation, keeps it as that
+    rotation's W_j, and ends with the whole circuit W.  rho is (N, d, d), or
+    (d, d) for a circuit without rotations.  Both arrays are read-only and
+    kept for the latest stack, so a second pass at the same theta is free.
+    """
+    key = (stack.shape, stack.tobytes())
+    latest = state._latest[0]
+    if latest is not None and latest[0] == key:
+        return latest[1:]
+    dim = len(state.initial)
+    suffixes = np.empty((len(state._plan.gens), len(stack), dim, dim), dtype=complex)
+    slots = iter(suffixes[::-1])  # W_j of each rotation, filled in sweep order
+    w = _identity(dim, complex)
+    for gate, u in zip(reversed(state.gates), reversed(gate_unitary(state, stack))):
+        if gate.param is not None:
+            next(slots)[...] = w
+        w = w @ u
+    rho = w @ state.initial @ w.conj().swapaxes(-1, -2)
+    suffixes.setflags(write=False)
+    rho.setflags(write=False)
+    state._latest[0] = (key, suffixes, rho)
+    return suffixes, rho
 
 
 def evaluate(state: CircuitState, theta: np.ndarray) -> np.ndarray:
-    """Density operator U(theta) rho_ini U(theta)^dagger.
+    """Density operator W rho_ini W^dagger, W = U(theta) the circuit unitary.
 
-    theta (K,) gives rho (d, d); a (N, K) stack gives (N, d, d), equal bit for
-    bit to N single calls.
+    W comes from the backward sweep that ``derivatives`` reads at the same
+    theta.  theta (K,) gives rho (d, d); a (N, K) stack gives (N, d, d),
+    equal bit for bit to N single calls.  The array is a fresh, writable copy.
     """
     stack = _check_theta(state, theta)
-    rho = np.repeat(state.initial[None].astype(complex), len(stack), axis=0)
-    for u in gate_unitary(state, stack):
-        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+    rho = np.empty((len(stack), *state.initial.shape), dtype=complex)
+    rho[...] = _circuit_pass(state, stack)[1]
     return rho if np.ndim(theta) > 1 else rho[0]
 
 
@@ -216,28 +239,21 @@ def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
 
     Adjoint method (Jones & Gacon, arXiv:2009.02823): gate j inserts
     -(i/2)[G_j, .] after itself, and pushing that through the suffix W_j of
-    later gates gives -(i/2)[W_j G_j W_j^dagger, rho].  One backward sweep
-    grows W and keeps each W_j; one batched product then forms every
-    W_j G_j W_j^dagger, and A_k sums those of the gates of parameter k in
-    gate-sweep order.  At the sweep's end W is the whole circuit, so
-    rho = W rho_ini W^dagger.  A (N, K) stack of theta gives (N, K, d, d),
-    equal bit for bit to N single calls.
+    later gates gives -(i/2)[W_j G_j W_j^dagger, rho].  The circuit pass
+    that ``evaluate`` shares gives every W_j and rho; one batched product
+    then forms every W_j G_j W_j^dagger, and A_k sums those of the gates of
+    parameter k in gate-sweep order.  A (N, K) stack of theta gives
+    (N, K, d, d), equal bit for bit to N single calls.
     """
     stack = _check_theta(state, theta)
     plan = state._plan
     n, dim = len(stack), len(state.initial)
-    suffixes = np.empty((len(plan.gens), n, dim, dim), dtype=complex)
-    slots = iter(suffixes[::-1])  # W_j of each rotation, filled in sweep order
-    w = _identity(dim, complex)
-    for gate, u in zip(reversed(state.gates), reversed(gate_unitary(state, stack))):
-        if gate.param is not None:
-            next(slots)[...] = w
-        w = w @ u
+    suffixes, rho = _circuit_pass(state, stack)
     terms = suffixes @ plan.gens[:, None] @ suffixes.conj().swapaxes(-1, -2)
     a = np.zeros((n, state.n_params, dim, dim), dtype=complex)
     for rows, params in plan.layers:  # a repeated parameter adds its terms in sweep order
         a[:, params] += terms[rows].swapaxes(0, 1)
-    rho = (w @ state.initial @ w.conj().swapaxes(-1, -2))[..., None, :, :]
+    rho = rho[..., None, :, :]
     derivs = -0.5j * (a @ rho - rho @ a)
     return derivs if np.ndim(theta) > 1 else derivs[0]
 

@@ -428,3 +428,33 @@ def test_failed_sweep_reports_the_failing_alpha_as_its_solo_run(tmp_path, capsys
     assert solo.startswith("numerical error: NumericalError: run aborted after 0 records: ")
     assert cli.main(argv + ["--sweep-alpha", "0.25,2", "--out", str(tmp_path / "sweep")]) == 3
     assert capsys.readouterr().err == solo
+
+
+@pytest.mark.parametrize("case", ["missing parent", "sweep into a file", "run into a directory"])
+def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, case):
+    argv = ["run", "--steps", "2"]
+    if case == "missing parent":
+        out = tmp_path / "missing" / "run.csv"
+    elif case == "sweep into a file":
+        out = tmp_path / "file"
+        out.write_text("x")
+        argv += ["--sweep-alpha", "0.5"]
+    else:
+        out = tmp_path / "dir"
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no .tmp file left
+
+
+@pytest.mark.parametrize("flag", ["--theta0", "--sweep-alpha", "--bloch"])
+@pytest.mark.parametrize("text", ["1,,2,3", "1,2,3,", ",1,2,3"])
+def test_an_empty_field_among_numbers_is_a_parse_error(tmp_path, monkeypatch, capsys, flag, text):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))
+    assert cli.main(["run", flag, text, "--out", str(tmp_path / "no.csv")]) == 2
+    assert "expected comma-separated numbers" in capsys.readouterr().err
+    assert runs == [] and os.listdir(tmp_path) == []
+    with pytest.raises(ParseError):
+        cli._parse_floats(text)

@@ -180,16 +180,12 @@ def test_gate_matrices_are_reused_only_at_the_same_circuit_and_theta():
 
 
 @pytest.mark.parametrize("name", ["single-qubit", "two-qubit", "three-qubit-heisenberg"])
-def test_passes_have_the_bits_of_the_gate_by_gate_products(name):
-    # an rz gate enters both passes as a matrix product, not as elementwise phases
+def test_passes_have_the_bits_of_one_backward_sweep(name):
+    # an rz gate enters the sweep as a matrix product, not as elementwise phases
     circ, _, theta0 = cli.build_experiment(cli.ExperimentConfig(experiment=name))
     rng = np.random.default_rng(3)
     for theta in theta0 + rng.normal(size=(5, theta0.size)):
         unitaries = states.gate_unitary(circ, theta)
-        rho = circ.initial.astype(complex)
-        for u in unitaries:
-            rho = u @ rho @ u.conj().T
-        assert states.evaluate(circ, theta).tobytes() == rho.tobytes()
         a = np.zeros((circ.n_params, *circ.initial.shape), dtype=complex)
         w = np.eye(len(circ.initial), dtype=complex)
         for gate, u in zip(reversed(circ.gates), reversed(unitaries)):
@@ -197,6 +193,7 @@ def test_passes_have_the_bits_of_the_gate_by_gate_products(name):
                 a[gate.param] += w @ states.gate_generator(circ, gate) @ w.conj().T
             w = w @ u
         rho = w @ circ.initial @ w.conj().T
+        assert states.evaluate(circ, theta).tobytes() == rho.tobytes()
         assert states.derivatives(circ, theta).tobytes() == (-0.5j * (a @ rho - rho @ a)).tobytes()
 
 
@@ -334,3 +331,50 @@ def test_stacked_passes_are_single_calls(case, n, seed):
         assert reg[i].tobytes() == states.regularize_state(rho[i], 1e-3).tobytes()
     with pytest.raises(ShapeMismatchError):
         states.evaluate(circ, thetas[:, :-1])
+
+
+def test_one_theta_makes_one_gate_unitary_call(monkeypatch):
+    circ, _, theta0 = cli.build_experiment(cli.ExperimentConfig(experiment="three-qubit-heisenberg"))
+    calls = []
+    build = states.gate_unitary
+    monkeypatch.setattr(states, "gate_unitary", lambda *args: calls.append(1) or build(*args))
+    for theta in (theta0, theta0 + 0.25):
+        states.evaluate(circ, theta)
+        states.derivatives(circ, theta)
+        states.evaluate(circ, theta[None])  # a stack of one is the same theta
+    assert len(calls) == 2
+
+
+def test_the_evaluated_state_is_the_callers_own():
+    circ = two_qubit_circuit()
+    theta = np.linspace(-1.0, 1.0, circ.n_params)
+    rho, derivs = states.evaluate(circ, theta), states.derivatives(circ, theta)
+    first = rho.copy()
+    rho[...] = 7.0
+    assert states.evaluate(circ, theta).tobytes() == first.tobytes()
+    assert states.derivatives(circ, theta).tobytes() == derivs.tobytes()
+    stack = states.evaluate(circ, np.vstack([theta, theta]))
+    stack[0] = 0.0
+    assert states.evaluate(circ, theta).tobytes() == first.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_circuits())
+def test_evaluate_is_the_kronecker_product_of_gates(case):
+    circ, theta = case
+    assert np.abs(states.evaluate(circ, theta) - kron_evaluate(circ, theta)).max() <= 1e-13
+
+
+def test_parameter_free_circuits():
+    rho_ini = np.kron(states.bloch_state(0.6, 0, 0), states.bloch_state(0, 0, 0.3))
+    for gates in ((states.Gate("cnot", 0, target=1),), ()):
+        circ = states.CircuitState(2, rho_ini, gates, 0)
+        expected = kron_evaluate(circ, np.zeros(0))
+        rho = states.evaluate(circ, np.zeros(0))
+        assert rho.shape == (4, 4) and rho.flags.writeable
+        np.testing.assert_array_equal(rho, expected)
+        assert states.derivatives(circ, np.zeros(0)).shape == (0, 4, 4)
+        rho = states.evaluate(circ, np.zeros((3, 0)))
+        assert rho.shape == (3, 4, 4) and rho.flags.writeable
+        np.testing.assert_array_equal(rho, np.broadcast_to(expected, (3, 4, 4)))
+        assert states.derivatives(circ, np.zeros((3, 0))).shape == (3, 0, 4, 4)
