@@ -117,15 +117,13 @@ def alpha_divergence_F(alpha: float) -> Callable:
     return lambda t: 4.0 / (1.0 - alpha**2) * (1.0 - t ** ((1.0 + alpha) / 2.0))
 
 
-def f_divergence_consistency(alpha: float, grid: np.ndarray = None) -> float:
-    """Max violation of F(t) + t F(1/t) = (1 - t)^2 / f(t) over a t-grid.
+def f_divergence_consistency(alpha: float) -> float:
+    """Max violation of F(t) + t F(1/t) = (1 - t)^2 / f(t) over ``petz.default_grid()``.
 
     F is the alpha-divergence kernel; f is the standard-family Petz function
     at the reparameterized index (1 + alpha) / 2.
     """
-    if grid is None:
-        grid = petz.default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = petz.default_grid()
     F = alpha_divergence_F(alpha)
     f = petz.standard((1.0 + alpha) / 2.0)
     lhs = F(grid) + grid * F(1.0 / grid)

@@ -31,17 +31,18 @@ def _dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
-def hermitian_eig(M: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianEig:
+def hermitian_eig(M: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     M may be a (..., d, d) stack; every member is diagonalised by one ``eigh``.
+    Hermiticity is checked to ``HERMITIAN_TOL``.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
     residue = np.abs(M - _dagger(M)).max()
-    if not residue <= tol:  # a nan residue fails too
-        raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {tol:.1e}")
+    if not residue <= HERMITIAN_TOL:  # a nan residue fails too
+        raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
     values, vectors = np.linalg.eigh(M)
     return HermitianEig(values, vectors)
 

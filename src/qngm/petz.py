@@ -32,6 +32,8 @@ from .errors import DomainError, ParseError, ShapeMismatchError
 
 TAYLOR_WINDOW = 1e-6
 ALPHA_EPS = 1e-6
+CONDITION_TOL = 1e-10  # a Petz condition holds if its violation is at most this
+ORDER_TOL = 1e-12  # compare's slack between the two functions' values
 
 
 @dataclass(frozen=True)
@@ -260,28 +262,25 @@ class ConditionReport:
     f1_violation: float
     symmetry_violation: float
     positivity_violation: float
-    tol: float = 1e-10
 
     @property
     def f1_ok(self) -> bool:
-        return self.f1_violation <= self.tol
+        return self.f1_violation <= CONDITION_TOL
 
     @property
     def symmetry_ok(self) -> bool:
-        return self.symmetry_violation <= self.tol
+        return self.symmetry_violation <= CONDITION_TOL
 
     @property
     def positivity_ok(self) -> bool:
-        return self.positivity_violation <= self.tol
+        return self.positivity_violation <= CONDITION_TOL
 
     @property
     def all_ok(self) -> bool:
         return self.f1_ok and self.symmetry_ok and self.positivity_ok
 
 
-def check_conditions(
-    f: Union[PetzFunction, Callable], grid: np.ndarray, tol: float = 1e-10
-) -> ConditionReport:
+def check_conditions(f: Union[PetzFunction, Callable], grid: np.ndarray) -> ConditionReport:
     """Check the defining Petz identities on a grid (accepts any callable)."""
     grid = np.asarray(grid, dtype=float)
     ft = np.asarray(f(grid), dtype=float)
@@ -290,7 +289,6 @@ def check_conditions(
         f1_violation=abs(float(f(np.array(1.0))) - 1.0),
         symmetry_violation=float(np.abs(ft - grid * finv).max()),
         positivity_violation=float(max(0.0, -ft.min())),
-        tol=tol,
     )
 
 
@@ -305,15 +303,13 @@ def default_grid(n: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
-def compare(
-    f: PetzFunction, g: PetzFunction, grid: Optional[np.ndarray] = None, tol: float = 1e-12
-) -> Order:
-    """Pointwise partial order of two Petz functions on a grid."""
+def compare(f: PetzFunction, g: PetzFunction, grid: Optional[np.ndarray] = None) -> Order:
+    """Pointwise partial order of two Petz functions on a grid, to ``ORDER_TOL``."""
     if grid is None:
         grid = default_grid()
     ft, gt = evaluate(f, grid), evaluate(g, grid)
-    le = bool(np.all(ft <= gt + tol))
-    ge = bool(np.all(ft >= gt - tol))
+    le = bool(np.all(ft <= gt + ORDER_TOL))
+    ge = bool(np.all(ft >= gt - ORDER_TOL))
     if le and ge:
         return Order.EQUAL
     if le:

@@ -147,11 +147,11 @@ def regularize_metric(G: np.ndarray, xi: float) -> np.ndarray:
     return (1.0 - xi) * G + xi * _identity(G.shape[-1])
 
 
-def check_kraus(kraus: Sequence[np.ndarray], tol: float = KRAUS_TOL) -> np.ndarray:
-    """The Kraus operators as one (..., M, d, d) array, checked for sum K^dagger K = I."""
+def check_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """The Kraus operators as one (..., M, d, d) array; sum K^dagger K = I to ``KRAUS_TOL``."""
     kraus = np.asarray(kraus, dtype=complex)
     total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
-    if np.abs(total - np.eye(kraus.shape[-1])).max() > tol:
+    if np.abs(total - np.eye(kraus.shape[-1])).max() > KRAUS_TOL:
         raise ShapeMismatchError("Kraus operators do not satisfy sum K^dagger K = I")
     return kraus
 
@@ -216,13 +216,14 @@ def random_tangent(rng: np.random.Generator, dim: int) -> np.ndarray:
     return x / np.linalg.norm(x)
 
 
-def _sample_channel(rng: np.random.Generator, dim: int) -> List[np.ndarray]:
+def _sample_channel(rng: np.random.Generator) -> List[np.ndarray]:
+    """A qubit channel: depolarizing, amplitude damping or Haar random, one in three each."""
     kind = rng.integers(0, 3)
-    if dim == 2 and kind == 0:
+    if kind == 0:
         return depolarizing_kraus(float(rng.uniform(0.0, 1.0)))
-    if dim == 2 and kind == 1:
+    if kind == 1:
         return amplitude_damping_kraus(float(rng.uniform(0.0, 1.0)))
-    return haar_random_kraus(rng, dim, n_kraus=2)
+    return haar_random_kraus(rng, 2, n_kraus=2)
 
 
 @dataclass(frozen=True)
@@ -247,12 +248,12 @@ class ProbeResult:
     witness: Optional[Witness]
 
 
-def _draw_triple(seed: int, index: int, dim: int):
+def _draw_triple(seed: int, index: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    return random_density(rng, dim), random_tangent(rng, dim), _sample_channel(rng, dim)
+    return random_density(rng, 2), random_tangent(rng, 2), _sample_channel(rng)
 
 
-def _contraction(f: petz.PetzFunction, triples, rank_tol: float):
+def _contraction(f: petz.PetzFunction, triples):
     """g(X, X) at rho and at the channel's output, for a list of triples at once."""
     rho = np.stack([t[0] for t in triples])
     x = np.stack([t[1] for t in triples])[:, None]
@@ -260,15 +261,13 @@ def _contraction(f: petz.PetzFunction, triples, rank_tol: float):
     kraus = np.zeros((len(triples), m) + rho.shape[1:], dtype=complex)
     for n, t in enumerate(triples):
         kraus[n, : len(t[2])] = t[2]
-    before = metric(rho, x, f, rank_tol)[:, 0, 0]
-    after = metric(*apply_channel(kraus, rho, x), f, rank_tol)[:, 0, 0]
+    before = metric(rho, x, f)[:, 0, 0]
+    after = metric(*apply_channel(kraus, rho, x), f)[:, 0, 0]
     return zip(before, after)
 
 
-def probe_triples(
-    f: petz.PetzFunction, seed: int, dim: int = 2, rank_tol: float = RANK_TOL
-) -> Iterator[Witness]:
-    """Endless random (state, tangent, channel) triples; triple i depends on (seed, i) only.
+def probe_triples(f: petz.PetzFunction, seed: int) -> Iterator[Witness]:
+    """Endless random qubit (state, tangent, channel) triples; triple i depends on (seed, i) only.
 
     Triples are drawn and evaluated ``_CHUNK`` at a time: one stacked metric
     before the channel, one ``apply_channel`` over the zero-padded Kraus
@@ -277,22 +276,16 @@ def probe_triples(
     still yielded, as by a triple-at-a-time loop.
     """
     for start in itertools.count(0, _CHUNK):
-        triples = [_draw_triple(seed, i, dim) for i in range(start, start + _CHUNK)]
+        triples = [_draw_triple(seed, i) for i in range(start, start + _CHUNK)]
         try:
-            values = _contraction(f, triples, rank_tol)
+            values = _contraction(f, triples)
         except QngmError:
-            values = (next(_contraction(f, [t], rank_tol)) for t in triples)
+            values = (next(_contraction(f, [t])) for t in triples)
         for i, (rho, x, kraus), (before, after) in zip(itertools.count(start), triples, values):
             yield Witness(i, rho, x, kraus, before, after)
 
 
-def monotonicity_probe(
-    f: petz.PetzFunction,
-    samples: int,
-    seed: int,
-    dim: int = 2,
-    rank_tol: float = RANK_TOL,
-) -> ProbeResult:
+def monotonicity_probe(f: petz.PetzFunction, samples: int, seed: int) -> ProbeResult:
     """Search the first ``samples`` probe triples for metric growth.
 
     A monotone metric satisfies g_rho(X, X) >= g_channel(rho)(X', X'); the
@@ -301,6 +294,6 @@ def monotonicity_probe(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    triples = itertools.islice(probe_triples(f, seed, dim, rank_tol), samples)
+    triples = itertools.islice(probe_triples(f, seed), samples)
     worst = max(triples, key=lambda t: t.violation)  # the first of equal maxima
     return ProbeResult(float(worst.violation), worst if worst.violation > 0.0 else None)

@@ -42,22 +42,24 @@ def pauli_on(n_qubits: int, wire: int, which: str) -> np.ndarray:
     return op
 
 
-def check_density(rho: np.ndarray, tol: float = DENSITY_TOL) -> HermitianEig:
+def check_density(rho: np.ndarray) -> HermitianEig:
     """Check that rho is a density operator; returns its eigendecomposition.
 
     rho may be a (..., d, d) stack: every member is checked, and the result
     holds the (..., d) values and (..., d, d) vectors of one stacked ``eigh``.
+    Hermiticity is checked by ``hermitian_eig``; the trace and the smallest
+    eigenvalue are checked to ``DENSITY_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
     try:
-        eig = hermitian_eig(rho, tol)
+        eig = hermitian_eig(rho)
     except NotHermitianError:
         raise NumericalError("density operator is not Hermitian") from None
     trace = np.trace(rho, axis1=-2, axis2=-1)
     off = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
-    if off.max() > tol:
+    if off.max() > DENSITY_TOL:
         raise NumericalError(f"density operator has trace {trace.flat[off.argmax()]}")
-    if eig.values[..., 0].min() < -tol:
+    if eig.values[..., 0].min() < -DENSITY_TOL:
         raise NumericalError("density operator has a negative eigenvalue")
     return eig
 

@@ -445,17 +445,17 @@ def test_stack_with_one_bad_member_raises_as_the_single_call(kind, case, data):
     assert _raised(lambda: qfim.metric(rho, x, f)) is error
 
 
-def loop_probe_triples(f, seed, dim=2, rank_tol=qfim.RANK_TOL):
+def loop_probe_triples(f, seed):
     """The former triple-at-a-time probe generator; the reference for the chunked one."""
     for i in itertools.count():
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        rho = qfim.random_density(rng, dim)
-        x = qfim.random_tangent(rng, dim)
-        kraus = qfim._sample_channel(rng, dim)
-        before = qfim.metric(rho, [x], f, rank_tol)[0, 0]
+        rho = qfim.random_density(rng, 2)
+        x = qfim.random_tangent(rng, 2)
+        kraus = qfim._sample_channel(rng)
+        before = qfim.metric(rho, [x], f)[0, 0]
         rho_out = sum(k @ rho @ k.conj().T for k in kraus)
         pushed = [sum(k @ x @ k.conj().T for k in kraus)]
-        after = qfim.metric(rho_out, pushed, f, rank_tol)[0, 0]
+        after = qfim.metric(rho_out, pushed, f)[0, 0]
         yield qfim.Witness(i, rho, x, kraus, before, after)
 
 
@@ -477,8 +477,8 @@ def test_chunked_probe_matches_the_triple_loop(spec):
 def test_probe_yields_every_triple_before_a_failing_one(monkeypatch):
     draw = qfim._draw_triple
 
-    def pure_at_150(seed, index, dim):
-        rho, x, kraus = draw(seed, index, dim)
+    def pure_at_150(seed, index):
+        rho, x, kraus = draw(seed, index)
         return (states.bloch_state(0.0, 0.0, 1.0) if index == 150 else rho), x, kraus
 
     monkeypatch.setattr(qfim, "_draw_triple", pure_at_150)
