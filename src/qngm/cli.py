@@ -120,7 +120,8 @@ def _coerce(key: str, value: str):
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
@@ -290,6 +291,11 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
             name = f"sw_alpha_{petz.alpha_text(alpha)}.csv".replace("-", "m")
             jobs.append((_sweep_spec(alpha), os.path.join(out_dir, name)))
     else:
+        parent = os.path.dirname(config.out) or "."
+        if os.path.isdir(config.out):
+            raise ConfigError(f"cannot write {config.out}: it is a directory")
+        if not os.path.isdir(parent):
+            raise ConfigError(f"cannot write {config.out}: no directory {parent}")
         jobs = [(config.metric, config.out)]
     circuit, cost, theta0 = build_experiment(config)
     trajectories = optimizer.run(

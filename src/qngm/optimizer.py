@@ -194,8 +194,9 @@ def run(
     be zero), or when it aborts.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
     records accumulated so far.  A bad ``rule``, ``eta``, ``epsilon``,
-    ``delta`` or ``xi`` raises ValidationError before any circuit pass; the
-    bounds are those of the functions that consume each value.
+    ``delta``, ``xi``, ``rank_tol`` or ``max_steps`` raises ValidationError
+    before any circuit pass; the bounds are those of the functions that
+    consume each value, and of ``cli.validate_config`` for the last two.
     """
     problems = [] if rule in RULES else [f"unknown update rule {rule!r}"]
     for name, value in (("eta", eta), ("epsilon", epsilon)):
@@ -204,6 +205,10 @@ def run(
     for name, value in (("delta", delta), ("xi", xi)):
         if not 0.0 <= value <= 1.0:
             problems.append(f"{name} = {value} outside [0, 1]")
+    if not rank_tol > 0.0:  # nan too
+        problems.append(f"rank_tol = {rank_tol} must be positive")
+    if max_steps < 0:
+        problems.append(f"max_steps = {max_steps} must be >= 0")
     if problems:
         raise ValidationError("; ".join(problems))
     single = isinstance(f, petz.PetzFunction)

@@ -91,6 +91,7 @@ class CircuitState:
             raise ShapeMismatchError(
                 f"initial state shape {self.initial.shape} for {self.n_qubits} qubits"
             )
+        check_density(self.initial)
         for g in self.gates:
             if g.kind == "cnot":
                 if g.target is None or g.param is not None or g.target == g.wire:

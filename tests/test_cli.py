@@ -111,7 +111,8 @@ def test_sweep_writes_one_csv_per_alpha(tmp_path):
     assert len(paths) == 3
     for p in paths:
         assert os.path.exists(p)
-        body = open(p).read().splitlines()
+        with open(p) as fh:
+            body = fh.read().splitlines()
         assert len(body) == 12
 
 
@@ -431,7 +432,9 @@ def test_failed_sweep_reports_the_failing_alpha_as_its_solo_run(tmp_path, capsys
 
 
 @pytest.mark.parametrize("case", ["missing parent", "sweep into a file", "run into a directory"])
-def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, case):
+def test_an_unwritable_out_is_a_config_error(tmp_path, monkeypatch, capsys, case):
+    runs = []
+    monkeypatch.setattr(optimizer, "run", lambda *args, **kwargs: runs.append(args))
     argv = ["run", "--steps", "2"]
     if case == "missing parent":
         out = tmp_path / "missing" / "run.csv"
@@ -445,6 +448,7 @@ def test_an_unwritable_out_is_a_config_error(tmp_path, capsys, case):
     before = sorted(tmp_path.rglob("*"))
     assert cli.main([*argv, "--out", str(out)]) == 2
     assert str(out) in capsys.readouterr().err
+    assert runs == []  # refused before the run
     assert sorted(tmp_path.rglob("*")) == before  # no .tmp file left
 
 

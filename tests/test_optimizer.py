@@ -228,6 +228,10 @@ def test_run_builds_the_state_once_per_record(monkeypatch, name):
         (dict(xi=1.5), "xi"),
         (dict(xi=np.nan), "xi"),
         (dict(rule="sgd"), "rule"),
+        (dict(max_steps=-3), "max_steps"),
+        (dict(rank_tol=-1.0), "rank_tol"),
+        (dict(rank_tol=0.0), "rank_tol"),
+        (dict(rank_tol=np.nan), "rank_tol"),
     ],
 )
 def test_bad_step_options_fail_before_any_circuit_pass(monkeypatch, options, name):

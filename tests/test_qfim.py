@@ -46,6 +46,55 @@ def test_metric_matches_divergence_hessian():
             assert rel < 1e-3, (dim, str(f), rel)
 
 
+def _support_power(m, c, rank):
+    """m^c for c > 0 on the top-``rank`` eigenspace of m, with 0^c = 0 on the rest."""
+    w, v = np.linalg.eigh(m)
+    w[:-rank] = 0.0
+    return (v * w**c) @ v.conj().T
+
+
+def _support_renyi(family, rho_bar, rho, a, rank):
+    """The rescaled Renyi divergence of ``divergence`` for two states of the given rank."""
+    if family == "sandwiched":  # the core's spectrum from singular values, as the library does
+        core = _support_power(rho, (1.0 - a) / (2.0 * a), rank) @ _support_power(rho_bar, 0.5, rank)
+        tr = np.sum(np.linalg.svd(core, compute_uv=False)[:rank] ** (2.0 * a))
+    else:
+        tr = np.trace(_support_power(rho_bar, a, rank) @ _support_power(rho, 1.0 - a, rank)).real
+    return np.log(tr) / (a * (a - 1.0))
+
+
+# below a ~ 0.1 the sandwiched core's eigenvalues p^(1/a) fall under the
+# double-precision resolution of the oracle itself
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.floats(0.15, 0.95), st.data())
+def test_rank_deficient_metric_is_the_renyi_hessian(dim, seed, a, data):
+    # on a state of rank r < d, the metric's p f(0) continuation is the coincidence
+    # Hessian of the paired divergence along the unitary orbit of the state
+    rank = data.draw(st.integers(1, dim - 1))
+    rng = np.random.default_rng(seed)
+    p = np.zeros(dim)
+    p[dim - rank :] = 0.05 + (1.0 - 0.05 * rank) * rng.dirichlet(np.ones(rank))
+    u = qfim.haar_random_kraus(rng, dim, n_kraus=1)[0]
+    rho = (u * p) @ u.conj().T
+    hs = [qfim.random_tangent(rng, dim) for _ in range(2)]
+    tangents = [-1j * (h @ rho - rho @ h) for h in hs]
+
+    def orbit(theta):  # e^{-iH} rho e^{iH} with H = theta_1 H_1 + theta_2 H_2
+        w, v = np.linalg.eigh(theta[0] * hs[0] + theta[1] * hs[1])
+        unitary = (v * np.exp(-1j * w)) @ v.conj().T
+        return unitary @ rho @ unitary.conj().T
+
+    for f, family in ((petz.sandwiched(a), "sandwiched"), (petz.standard(a), "standard")):
+        g = qfim.metric(rho, tangents, f)
+        div = lambda theta: _support_renyi(family, orbit(theta), rho, a, rank)
+        hess = divergence.fd_hessian(div, np.zeros(2), h=1e-3)
+        rel = np.linalg.norm(hess - g) / np.linalg.norm(g)
+        assert rel < 1e-4, (str(f), rel)
+    for f in (petz.BKM, petz.RRLD, petz.HALF, petz.sandwiched(2.0)):  # f(0) = 0
+        with pytest.raises(MetricUndefinedError):
+            qfim.metric(rho, tangents, f)
+
+
 def test_experiment_state_sld_vs_sandwiched_half_hessian():
     circ = experiment_circuit()
     theta0 = np.array([np.pi / 2, np.pi / 2, np.pi / 4])

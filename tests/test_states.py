@@ -281,6 +281,8 @@ def test_shape_validation():
         states.CircuitState(1, np.eye(2, dtype=complex) / 2, (states.Gate("rz", 0, param=5),), 1)
     with pytest.raises(NumericalError):
         states.check_density(np.eye(2, dtype=complex))  # trace 2
+    with pytest.raises(NumericalError):
+        states.CircuitState(1, np.eye(2, dtype=complex), states.r3_gates(0, 0), 3)  # trace 2
 
 
 @pytest.mark.parametrize(
