@@ -194,19 +194,20 @@ def run(
     be zero), or when it aborts.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
     records accumulated so far.  A bad ``rule``, ``eta``, ``epsilon``,
-    ``delta``, ``xi``, ``rank_tol`` or ``max_steps`` raises ValidationError
-    before any circuit pass; the bounds are those of the functions that
-    consume each value, and of ``cli.validate_config`` for the last two.
+    ``delta``, ``xi``, ``rank_tol``, ``max_steps`` or ``grad_tol`` raises
+    ValidationError before any circuit pass, nan and inf included; the
+    bounds are those of ``cli.validate_config``, except that ``delta`` and
+    ``xi`` may be 1, as the functions that consume them allow.
     """
     problems = [] if rule in RULES else [f"unknown update rule {rule!r}"]
-    for name, value in (("eta", eta), ("epsilon", epsilon)):
-        if value <= 0.0:
-            problems.append(f"{name} = {value} must be positive")
+    for name, value in (("eta", eta), ("epsilon", epsilon), ("rank_tol", rank_tol)):
+        if not 0.0 < value < np.inf:  # nan too
+            problems.append(f"{name} = {value} must be positive and finite")
+    if not 0.0 <= grad_tol < np.inf:
+        problems.append(f"grad_tol = {grad_tol} must be >= 0 and finite")
     for name, value in (("delta", delta), ("xi", xi)):
         if not 0.0 <= value <= 1.0:
             problems.append(f"{name} = {value} outside [0, 1]")
-    if not rank_tol > 0.0:  # nan too
-        problems.append(f"rank_tol = {rank_tol} must be positive")
     if max_steps < 0:
         problems.append(f"max_steps = {max_steps} must be >= 0")
     if problems:

@@ -14,6 +14,7 @@ vanishing numerators and are skipped.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -25,6 +26,7 @@ from .errors import (
     NumericalError,
     QngmError,
     ShapeMismatchError,
+    ValidationError,
 )
 from .linalg import _identity
 from .states import SIGMA_X, SIGMA_Y, SIGMA_Z, check_density
@@ -173,57 +175,99 @@ def apply_channel(kraus: Sequence[np.ndarray], rho: np.ndarray, tangents: Sequen
     return rho_out, pushed
 
 
-def depolarizing_kraus(p: float) -> List[np.ndarray]:
-    """Single-qubit depolarizing channel with mixing probability p."""
-    return [
-        np.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex),
-        np.sqrt(p / 4.0) * SIGMA_X,
-        np.sqrt(p / 4.0) * SIGMA_Y,
-        np.sqrt(p / 4.0) * SIGMA_Z,
-    ]
+# the depolarizing channel's Kraus operators, each before its coefficient
+_PAULIS = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
-def amplitude_damping_kraus(gamma: float) -> List[np.ndarray]:
-    return [
-        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex),
-        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex),
-    ]
+def _complex(draws: np.ndarray) -> np.ndarray:
+    """re + 1j im from standard normal draws (..., 2, r, c) that hold re, then im."""
+    return draws[..., 0, :, :] + 1j * draws[..., 1, :, :]
 
 
-def haar_random_kraus(rng: np.random.Generator, dim: int, n_kraus: int = 2) -> List[np.ndarray]:
-    """Random channel from a Haar-distributed isometry split into blocks."""
-    a = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
+def _depolarizing(p) -> np.ndarray:
+    """Depolarizing Kraus operators (..., 4, 2, 2) for mixing probabilities p (...)."""
+    p = np.asarray(p, dtype=float)
+    q = p / 4.0
+    c = np.sqrt(np.stack([1.0 - 3.0 * p / 4.0, q, q, q], axis=-1))
+    return c[..., None, None] * _PAULIS
+
+
+def _amplitude_damping(gamma) -> np.ndarray:
+    """Amplitude-damping Kraus operators (..., 2, 2, 2) for damping rates gamma (...)."""
+    gamma = np.asarray(gamma, dtype=float)
+    kraus = np.zeros(gamma.shape + (2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 0] = 1.0
+    kraus[..., 0, 1, 1] = np.sqrt(1.0 - gamma)
+    kraus[..., 1, 0, 1] = np.sqrt(gamma)
+    return kraus
+
+
+def _haar_kraus(a: np.ndarray, n_kraus: int) -> np.ndarray:
+    """Kraus operators (..., n_kraus, d, d): blocks of the QR isometry of a (..., n_kraus d, d)."""
     q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))  # fix the phase ambiguity of QR
-    return [q[i * dim : (i + 1) * dim, :] for i in range(n_kraus)]
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]  # fix QR's phases
+    return q.reshape(*q.shape[:-2], n_kraus, q.shape[-1], q.shape[-1])
 
 
-def random_density(rng: np.random.Generator, dim: int, floor: float = 0.0) -> np.ndarray:
-    """Full-rank random state; `floor` mixes in identity to bound eigenvalues away from 0."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho).real
+def _density(a: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """a a^dagger / Tr(a a^dagger) for a (..., d, d), mixed with I / d by ``floor``."""
+    dim = a.shape[-1]
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho = rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     if floor > 0.0:
         rho = (1.0 - floor) * rho + floor * np.eye(dim) / dim
     return rho
 
 
+def _tangent(a: np.ndarray) -> np.ndarray:
+    """The traceless Hermitian part of a (..., d, d), scaled to unit Frobenius norm.
+
+    The norm is the square root of a BLAS dot per member, the bits of
+    np.linalg.norm on that member alone (see ``optimizer._norm``).
+    """
+    dim = a.shape[-1]
+    x = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    x = x - (np.trace(x, axis1=-2, axis2=-1) / dim)[..., None, None] * np.eye(dim)
+    flat = x.reshape(*x.shape[:-2], dim * dim)
+    norm = np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+    return x / norm[..., None, None]
+
+
+def depolarizing_kraus(p: float) -> List[np.ndarray]:
+    """Single-qubit depolarizing channel with mixing probability p."""
+    return list(_depolarizing(p))
+
+
+def amplitude_damping_kraus(gamma: float) -> List[np.ndarray]:
+    """Single-qubit amplitude-damping channel with damping rate gamma."""
+    return list(_amplitude_damping(gamma))
+
+
+def haar_random_kraus(rng: np.random.Generator, dim: int, n_kraus: int = 2) -> List[np.ndarray]:
+    """Random channel from a Haar-distributed isometry split into blocks.
+
+    Draws the real, then the imaginary part of a (n_kraus dim, dim)
+    Gaussian matrix; the arithmetic is the stacked sampler's.
+    """
+    return list(_haar_kraus(_complex(rng.normal(size=(2, n_kraus * dim, dim))), n_kraus))
+
+
+def random_density(rng: np.random.Generator, dim: int, floor: float = 0.0) -> np.ndarray:
+    """Full-rank random state; `floor` mixes in identity to bound eigenvalues away from 0.
+
+    Draws the real, then the imaginary part of a (dim, dim) Gaussian matrix
+    a and returns a a^dagger over its trace; the arithmetic is the stacked
+    sampler's.
+    """
+    return _density(_complex(rng.normal(size=(2, dim, dim))), floor)
+
+
 def random_tangent(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random Hermitian traceless direction with unit Frobenius norm."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    x = 0.5 * (a + a.conj().T)
-    x = x - np.trace(x) / dim * np.eye(dim)
-    return x / np.linalg.norm(x)
+    """Random Hermitian traceless direction with unit Frobenius norm.
 
-
-def _sample_channel(rng: np.random.Generator) -> List[np.ndarray]:
-    """A qubit channel: depolarizing, amplitude damping or Haar random, one in three each."""
-    kind = rng.integers(0, 3)
-    if kind == 0:
-        return depolarizing_kraus(float(rng.uniform(0.0, 1.0)))
-    if kind == 1:
-        return amplitude_damping_kraus(float(rng.uniform(0.0, 1.0)))
-    return haar_random_kraus(rng, 2, n_kraus=2)
+    Draws as ``random_density`` does; the arithmetic is the stacked sampler's.
+    """
+    return _tangent(_complex(rng.normal(size=(2, dim, dim))))
 
 
 @dataclass(frozen=True)
@@ -248,41 +292,79 @@ class ProbeResult:
     witness: Optional[Witness]
 
 
-def _draw_triple(seed: int, index: int):
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    return random_density(rng, 2), random_tangent(rng, 2), _sample_channel(rng)
+def _draw_chunk(seed: int, start: int, count: int):
+    """Probe triples start ... start + count - 1, each a function of (seed, index) alone.
+
+    Each triple has its own generator, seeded by (seed, index), which makes
+    the raw draws of ``random_density`` and ``random_tangent`` at dim 2 and
+    then picks a channel: depolarizing, amplitude damping or Haar random
+    (two operators), one in three each.  The arithmetic then runs once on
+    the stack, grouped by channel kind.  Returns rho (n, 2, 2), X (n, 2, 2),
+    the Kraus stack (n, 4, 2, 2), padded with zero operators, and each
+    member's operator count (n,).
+    """
+    gauss = np.empty((count, 2, 2, 2, 2))  # per member: (rho, X) x (re, im) x (2, 2)
+    kinds = np.empty(count, dtype=int)
+    params = np.zeros(count)  # the depolarizing or damping parameter
+    haar = np.zeros((count, 2, 4, 2))  # (re, im) x (4, 2)
+    for n in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start + n,)))
+        gauss[n] = rng.normal(size=(2, 2, 2, 2))
+        kinds[n] = rng.integers(0, 3)
+        if kinds[n] == 2:
+            haar[n] = rng.normal(size=(2, 4, 2))
+        else:
+            params[n] = rng.uniform(0.0, 1.0)
+    a = _complex(gauss)
+    depolarizing, damping, isometry = (kinds == kind for kind in range(3))
+    kraus = np.zeros((count, 4, 2, 2), dtype=complex)
+    kraus[depolarizing] = _depolarizing(params[depolarizing])
+    kraus[damping, :2] = _amplitude_damping(params[damping])
+    kraus[isometry, :2] = _haar_kraus(_complex(haar[isometry]), 2)
+    return _density(a[:, 0]), _tangent(a[:, 1]), kraus, np.where(depolarizing, 4, 2)
 
 
-def _contraction(f: petz.PetzFunction, triples):
-    """g(X, X) at rho and at the channel's output, for a list of triples at once."""
-    rho = np.stack([t[0] for t in triples])
-    x = np.stack([t[1] for t in triples])[:, None]
-    m = max(len(t[2]) for t in triples)
-    kraus = np.zeros((len(triples), m) + rho.shape[1:], dtype=complex)
-    for n, t in enumerate(triples):
-        kraus[n, : len(t[2])] = t[2]
+def _contraction(f: petz.PetzFunction, rho: np.ndarray, x: np.ndarray, kraus: np.ndarray):
+    """g(X, X) at rho and at the channel's output, for stacks of triples."""
+    x = x[:, None]
     before = metric(rho, x, f)[:, 0, 0]
     after = metric(*apply_channel(kraus, rho, x), f)[:, 0, 0]
     return zip(before, after)
 
 
+def _chunk_witnesses(f: petz.PetzFunction, seed: int, start: int) -> Iterator[Witness]:
+    """Probe triples start ... start + _CHUNK - 1 with their metric values."""
+    rho, x, kraus, counts = _draw_chunk(seed, start, _CHUNK)
+    try:
+        values = _contraction(f, rho, x, kraus)
+    except QngmError:  # replay one member at a time, up to the one that fails
+        values = (
+            next(_contraction(f, rho[n : n + 1], x[n : n + 1], kraus[n : n + 1]))
+            for n in range(_CHUNK)
+        )
+    for n, (before, after) in enumerate(values):
+        yield Witness(start + n, rho[n], x[n], list(kraus[n, : counts[n]]), before, after)
+
+
+def _require_count(name: str, value, least: int) -> None:
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} = {value!r} must be an integer >= {least}")
+
+
 def probe_triples(f: petz.PetzFunction, seed: int) -> Iterator[Witness]:
     """Endless random qubit (state, tangent, channel) triples; triple i depends on (seed, i) only.
 
-    Triples are drawn and evaluated ``_CHUNK`` at a time: one stacked metric
-    before the channel, one ``apply_channel`` over the zero-padded Kraus
-    stack and one stacked metric after it.  If a chunk fails, its triples
-    are replayed one at a time, so every triple before the failing one is
-    still yielded, as by a triple-at-a-time loop.
+    Triples are drawn ``_CHUNK`` at a time by ``_draw_chunk`` and evaluated
+    with one stacked metric before the channel, one ``apply_channel`` over
+    the zero-padded Kraus stack and one stacked metric after it.  If a
+    chunk fails, its triples are replayed one at a time from the same
+    arrays, so every triple before the failing one is still yielded, as by
+    a triple-at-a-time loop.  A seed that is not an integer >= 0 raises
+    ValidationError before any draw.
     """
-    for start in itertools.count(0, _CHUNK):
-        triples = [_draw_triple(seed, i) for i in range(start, start + _CHUNK)]
-        try:
-            values = _contraction(f, triples)
-        except QngmError:
-            values = (next(_contraction(f, [t])) for t in triples)
-        for i, (rho, x, kraus), (before, after) in zip(itertools.count(start), triples, values):
-            yield Witness(i, rho, x, kraus, before, after)
+    _require_count("seed", seed, 0)
+    chunks = (_chunk_witnesses(f, seed, start) for start in itertools.count(0, _CHUNK))
+    return itertools.chain.from_iterable(chunks)
 
 
 def monotonicity_probe(f: petz.PetzFunction, samples: int, seed: int) -> ProbeResult:
@@ -290,10 +372,11 @@ def monotonicity_probe(f: petz.PetzFunction, samples: int, seed: int) -> ProbeRe
 
     A monotone metric satisfies g_rho(X, X) >= g_channel(rho)(X', X'); the
     probe reports the largest observed difference (after - before) together
-    with the witnessing triple when it is positive.
+    with the witnessing triple when it is positive.  ``samples`` must be an
+    integer >= 1 and ``seed`` one >= 0, or ValidationError is raised before
+    any draw.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _require_count("samples", samples, 1)
     triples = itertools.islice(probe_triples(f, seed), samples)
     worst = max(triples, key=lambda t: t.violation)  # the first of equal maxima
     return ProbeResult(float(worst.violation), worst if worst.violation > 0.0 else None)

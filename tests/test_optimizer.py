@@ -184,14 +184,18 @@ def test_non_finite_cost_aborts_naming_the_step():
     assert traj.error.startswith("NumericalError") and "step 0" in traj.error
 
 
-def test_non_finite_theta_aborts_naming_the_step():
+def test_non_finite_theta_aborts_naming_the_step(monkeypatch):
     circuit, cost, theta0 = experiment()
     for bad in (np.nan, np.inf):
         traj = optimizer.run(circuit, cost, petz.SLD, np.array([bad, 0.0, 0.0]), max_steps=5)
         assert traj.records == []
         assert traj.error == "NumericalError: non-finite theta at step 0"
     # a step that lands on a non-finite theta is caught before the next record
-    traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", eta=np.inf, max_steps=5)
+    def step_to_inf(G, grad, eta):
+        return np.full_like(grad, np.inf), None
+
+    monkeypatch.setattr(optimizer, "step_lr", step_to_inf)
+    traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", max_steps=5)
     assert len(traj.records) == 1
     assert traj.error == "NumericalError: non-finite theta at step 1"
 
@@ -232,6 +236,14 @@ def test_run_builds_the_state_once_per_record(monkeypatch, name):
         (dict(rank_tol=-1.0), "rank_tol"),
         (dict(rank_tol=0.0), "rank_tol"),
         (dict(rank_tol=np.nan), "rank_tol"),
+        (dict(rank_tol=np.inf), "rank_tol"),
+        (dict(eta=np.nan), "eta"),
+        (dict(eta=np.inf), "eta"),
+        (dict(rule="trust", epsilon=np.nan), "epsilon"),
+        (dict(rule="trust", epsilon=np.inf), "epsilon"),
+        (dict(grad_tol=-1.0), "grad_tol"),
+        (dict(grad_tol=np.nan), "grad_tol"),
+        (dict(grad_tol=np.inf), "grad_tol"),
     ],
 )
 def test_bad_step_options_fail_before_any_circuit_pass(monkeypatch, options, name):
@@ -372,18 +384,17 @@ def test_a_member_with_a_vanishing_gradient_leaves_the_stack():
     circuit, cost, _ = experiment()
     theta0 = np.array([0.3, 0.2, 0.1])
     fs = [petz.sandwiched(-1.0), petz.sandwiched(0.1)]
-    # a nan grad_tol stops no member, so GRAD_ZERO alone decides
-    for grad_tol in (0.0, np.nan):
-        options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=grad_tol)
-        stacked = optimizer.run(circuit, cost, fs, theta0, **options)
-        # the fast member's |grad| falls below GRAD_ZERO, where its step would report convergence
-        assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
-        assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
-        for f, traj in zip(fs, stacked):
-            solo = optimizer.run(circuit, cost, f, theta0, **options)
-            reference = reference_run(circuit, cost, f, theta0, **options)
-            assert traj.error is None and fingerprint(traj) == fingerprint(solo)
-            assert fingerprint(traj) == fingerprint(reference)
+    # a zero grad_tol stops no member, so GRAD_ZERO alone decides
+    options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=0.0)
+    stacked = optimizer.run(circuit, cost, fs, theta0, **options)
+    # the fast member's |grad| falls below GRAD_ZERO, where its step would report convergence
+    assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
+    assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
+    for f, traj in zip(fs, stacked):
+        solo = optimizer.run(circuit, cost, f, theta0, **options)
+        reference = reference_run(circuit, cost, f, theta0, **options)
+        assert traj.error is None and fingerprint(traj) == fingerprint(solo)
+        assert fingerprint(traj) == fingerprint(reference)
 
 
 def test_an_aborting_member_keeps_its_own_error():

@@ -6,7 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qngm import classical, cli, divergence, petz, qfim, states
-from qngm.errors import MetricUndefinedError, NumericalError, QngmError, ShapeMismatchError
+from qngm.errors import (
+    MetricUndefinedError,
+    NumericalError,
+    QngmError,
+    ShapeMismatchError,
+    ValidationError,
+)
 
 FAMILIES = [
     petz.SLD,
@@ -500,12 +506,97 @@ def loop_probe_triples(f, seed):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         rho = qfim.random_density(rng, 2)
         x = qfim.random_tangent(rng, 2)
-        kraus = qfim._sample_channel(rng)
+        kind = rng.integers(0, 3)  # depolarizing, amplitude damping or Haar random
+        if kind == 0:
+            kraus = qfim.depolarizing_kraus(float(rng.uniform(0.0, 1.0)))
+        elif kind == 1:
+            kraus = qfim.amplitude_damping_kraus(float(rng.uniform(0.0, 1.0)))
+        else:
+            kraus = qfim.haar_random_kraus(rng, 2, n_kraus=2)
         before = qfim.metric(rho, [x], f)[0, 0]
         rho_out = sum(k @ rho @ k.conj().T for k in kraus)
         pushed = [sum(k @ x @ k.conj().T for k in kraus)]
         after = qfim.metric(rho_out, pushed, f)[0, 0]
         yield qfim.Witness(i, rho, x, kraus, before, after)
+
+
+def triple_by_hand(seed, index):
+    """Probe triple ``index``: its own generator, then the 2x2 arithmetic written out."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    rho = rho / np.trace(rho).real
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    x = 0.5 * (a + a.conj().T)
+    x = x - np.trace(x) / 2 * np.eye(2)
+    x = x / np.linalg.norm(x)
+    kind = rng.integers(0, 3)
+    if kind == 0:
+        p = float(rng.uniform(0.0, 1.0))
+        kraus = [np.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex)]
+        kraus += [np.sqrt(p / 4.0) * s for s in (states.SIGMA_X, states.SIGMA_Y, states.SIGMA_Z)]
+    elif kind == 1:
+        g = float(rng.uniform(0.0, 1.0))
+        kraus = [
+            np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]], dtype=complex),
+            np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=complex),
+        ]
+    else:
+        a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        q, r = np.linalg.qr(a)
+        q = q * np.sign(np.diag(r))
+        kraus = [q[:2], q[2:]]
+    return rho, x, kraus
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 10**6).filter(lambda start: start % qfim._CHUNK),
+    st.integers(1, 40),
+)
+@example(seed=7, start=150, count=40)
+def test_each_chunk_member_is_its_own_triple(seed, start, count):
+    rho, x, kraus, counts = qfim._draw_chunk(seed, start, count)
+    assert rho.shape == x.shape == (count, 2, 2)
+    assert kraus.shape == (count, 4, 2, 2) and counts.shape == (count,)
+    for n in range(count):
+        want_rho, want_x, want_kraus = triple_by_hand(seed, start + n)
+        assert rho[n].tobytes() == want_rho.tobytes()
+        assert x[n].tobytes() == want_x.tobytes()
+        assert counts[n] == len(want_kraus)
+        assert kraus[n, : counts[n]].tobytes() == np.stack(want_kraus).tobytes()
+        assert not kraus[n, counts[n] :].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_samplers_give_each_member_its_single_bits(dim, n_kraus, n, seed):
+    rng = np.random.default_rng(seed)
+    tall = qfim._complex(rng.normal(size=(n, 2, n_kraus * dim, dim)))
+    square = tall[:, :dim]  # a strided stack, as the probe's chunks are
+    params = rng.uniform(0.0, 1.0, size=n)
+    stacks = [
+        qfim._density(square),
+        qfim._density(square, 0.2),
+        qfim._tangent(square),
+        qfim._haar_kraus(tall, n_kraus),
+        qfim._depolarizing(params),
+        qfim._amplitude_damping(params),
+    ]
+    for k in range(n):
+        a, b = square[k].copy(), tall[k].copy()
+        singles = [
+            qfim._density(a),
+            qfim._density(a, 0.2),
+            qfim._tangent(a),
+            qfim._haar_kraus(b, n_kraus),
+            np.stack(qfim.depolarizing_kraus(float(params[k]))),
+            np.stack(qfim.amplitude_damping_kraus(float(params[k]))),
+        ]
+        for stack, single in zip(stacks, singles):
+            assert stack[k].shape == single.shape
+            assert stack[k].tobytes() == single.tobytes()
 
 
 @pytest.mark.parametrize("spec", ["sld", "rrld", "sw:0.25"])
@@ -524,18 +615,35 @@ def test_chunked_probe_matches_the_triple_loop(spec):
 
 
 def test_probe_yields_every_triple_before_a_failing_one(monkeypatch):
-    draw = qfim._draw_triple
+    draw = qfim._draw_chunk
 
-    def pure_at_150(seed, index):
-        rho, x, kraus = draw(seed, index)
-        return (states.bloch_state(0.0, 0.0, 1.0) if index == 150 else rho), x, kraus
+    def pure_at_150(seed, start, count):
+        rho, x, kraus, counts = draw(seed, start, count)
+        if start <= 150 < start + count:
+            rho[150 - start] = states.bloch_state(0.0, 0.0, 1.0)
+        return rho, x, kraus, counts
 
-    monkeypatch.setattr(qfim, "_draw_triple", pure_at_150)
+    monkeypatch.setattr(qfim, "_draw_chunk", pure_at_150)
     triples = qfim.probe_triples(petz.BKM, 7)  # f(0) = 0: the pure state fails
     for got, want in zip(itertools.islice(triples, 150), loop_probe_triples(petz.BKM, 7)):
         assert (got.index, got.before, got.after) == (want.index, want.before, want.after)
     with pytest.raises(MetricUndefinedError):
         next(triples)
+
+
+@pytest.mark.parametrize(
+    "samples, seed, name",
+    [(0, 7, "samples"), (-2, 7, "samples"), (2.5, 7, "samples"), (10, -1, "seed"), (10, 1.5, "seed")],
+)
+def test_bad_probe_input_fails_before_any_draw(monkeypatch, samples, seed, name):
+    calls = []
+    monkeypatch.setattr(qfim, "_draw_chunk", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=name):
+        qfim.monotonicity_probe(petz.SLD, samples, seed)
+    if name == "seed":
+        with pytest.raises(ValidationError, match=name):
+            qfim.probe_triples(petz.SLD, seed)
+    assert calls == []
 
 
 def test_first_witness_matches_the_triple_loop():
