@@ -48,7 +48,7 @@ class ExperimentConfig:
     eta: float = 1e-3
     delta: float = 1e-3
     xi: float = 1e-3
-    rank_tol: float = 1e-9
+    rank_tol: float = qfim.RANK_TOL
     steps: int = 2000
     grad_tol: float = 1e-10
     seed: int = 0
@@ -143,23 +143,24 @@ def _sweep_spec(alpha: float) -> str:
     return f"sw:{petz.alpha_text(alpha)}"
 
 
+def _run_options(config: ExperimentConfig) -> dict:
+    """``optimizer.run``'s step options: the config fields of the same names, and steps."""
+    names = ("rule", "eta", "epsilon", "delta", "xi", "rank_tol", "grad_tol")
+    return dict(max_steps=config.steps, **{name: getattr(config, name) for name in names})
+
+
 def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     """Check all invariants at once; raises ValidationError listing every violation."""
     problems: List[str] = []
     if config.experiment not in EXPERIMENTS:
         problems.append(f"experiment {config.experiment!r} not in {tuple(EXPERIMENTS)}")
-    if config.rule not in optimizer.RULES:
-        problems.append(f"rule {config.rule!r} must be " + " or ".join(map(repr, optimizer.RULES)))
-    for name, kind in _FIELD_TYPES.items():
+    problems += optimizer.option_problems(**_run_options(config))
+    for name in ("omega", "coupling", "theta0", "theta_star", "bloch"):
         value = getattr(config, name)
-        if kind is float and not np.isfinite(value):
+        if value is not None and not np.all(np.isfinite(value)):
             problems.append(f"{name} = {value} must be finite")
-        elif name in ("delta", "xi") and not 0.0 <= value < 1.0:
-            problems.append(f"{name} = {value} outside [0, 1)")
-        elif name in ("epsilon", "eta", "rank_tol") and value <= 0.0:
-            problems.append(f"{name} = {value} must be positive")
-        elif name in ("steps", "grad_tol", "seed") and value < 0:
-            problems.append(f"{name} = {value} must be >= 0")
+    if config.seed < 0:
+        problems.append(f"seed = {config.seed} must be >= 0")
     for spec in [config.metric, *map(_sweep_spec, config.sweep_alpha or ())]:
         try:
             petz.parse(spec)
@@ -169,10 +170,6 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
         problems.append("sweep_alpha lists no alpha")
     if config.sweep_alpha and len(set(config.sweep_alpha)) < len(config.sweep_alpha):
         problems.append(f"sweep_alpha {config.sweep_alpha} lists an alpha twice")
-    for name in ("theta0", "theta_star", "bloch"):
-        vec = getattr(config, name)
-        if vec is not None and not np.all(np.isfinite(vec)):
-            problems.append(f"{name} has a non-finite entry")
     if config.experiment in EXPERIMENTS:
         n_qubits = EXPERIMENTS[config.experiment] or config.n_qubits
         if not 1 <= n_qubits <= 4:
@@ -303,15 +300,8 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
         cost,
         [petz.parse(spec) for spec, _ in jobs],
         theta0,
-        rule=config.rule,
-        eta=config.eta,
-        epsilon=config.epsilon,
-        delta=config.delta,
-        xi=config.xi,
-        rank_tol=config.rank_tol,
-        max_steps=config.steps,
-        grad_tol=config.grad_tol,
         use_diagonal=config.diagonal,
+        **_run_options(config),
     )
     for traj in trajectories:
         if traj.error is not None:
@@ -441,10 +431,8 @@ def first_witness(seed: int) -> Optional[qfim.Witness]:
 
 def run_properties(seed: int, samples: int) -> Tuple[str, bool]:
     """Aggregate the invariant suites into a text report; ok = all passed."""
-    if samples < 1:
-        raise ValidationError("samples must be >= 1")
-    if seed < 0:
-        raise ValidationError(f"seed = {seed} must be >= 0")
+    qfim._require_count("samples", samples, 1)
+    qfim._require_count("seed", seed, 0)
     lines = []
     all_ok = True
     for name, ok, detail in _property_lines(seed, samples):
@@ -456,6 +444,8 @@ def run_properties(seed: int, samples: int) -> Tuple[str, bool]:
 
 
 _HELP = {
+    "experiment": ", ".join(EXPERIMENTS),
+    "rule": " or ".join(optimizer.RULES),
     "metric": "petz spec, e.g. sld or sw:0.25",
     "out": "CSV path (directory for sweeps)",
     "sweep_alpha": "comma-separated alphas; runs sw:<alpha> for each",
@@ -467,13 +457,12 @@ _HELP = {
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per ExperimentConfig field; values stay text until _coerce."""
     parser.add_argument("--config", default=None, help="flat key = value config file")
-    choices = {"experiment": tuple(EXPERIMENTS), "rule": optimizer.RULES}
     for key, kind in _FIELD_TYPES.items():
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             parser.add_argument(flag, action="store_const", const="true", help=_HELP.get(key))
         else:
-            parser.add_argument(flag, choices=choices.get(key), help=_HELP.get(key))
+            parser.add_argument(flag, help=_HELP.get(key))
 
 
 def _attach_negative_values(argv: Sequence[str]) -> List[str]:

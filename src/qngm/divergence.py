@@ -11,7 +11,7 @@ from typing import Callable
 import numpy as np
 
 from . import petz, states
-from .errors import NumericalError, RankDeficientError, ShapeMismatchError
+from .errors import NumericalError, RankDeficientError, ShapeMismatchError, ValidationError
 
 RANK_EPS = 1e-12
 IMAG_TOL = 1e-10
@@ -99,7 +99,7 @@ def paired_divergence(f: petz.PetzFunction):
     """
     index = petz.renyi_index(f)
     if index is None:
-        raise ValueError(f"no divergence pairing for Petz function {f}")
+        raise ValidationError(f"no divergence pairing for Petz function {f}")
     family, alpha = index
     renyi = {"sandwiched": sandwiched_renyi, "standard": standard_renyi}[family]
     return lambda rb, r: renyi(rb, r, alpha)
@@ -178,7 +178,7 @@ def fd_hessian(div: Callable[[np.ndarray], float], theta: np.ndarray, h: float =
     """
     theta = np.asarray(theta, dtype=float)
     if not 1e-4 <= h <= 1e-2:
-        raise ValueError(f"step h = {h} outside [1e-4, 1e-2]")
+        raise ValidationError(f"step h = {h} outside [1e-4, 1e-2]")
     n = theta.size
     single = np.empty((n, 2))
     for i in range(n):

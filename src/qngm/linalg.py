@@ -31,6 +31,15 @@ def _dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
+def _check_hermitian(M: np.ndarray) -> None:
+    """Raise unless M is a square matrix, or stack, with max |M - M^dagger| <= HERMITIAN_TOL."""
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
+    residue = np.abs(M - _dagger(M)).max()  # an inf entry warns here (inf - inf) and fails below
+    if not residue <= HERMITIAN_TOL:  # a nan residue fails too
+        raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
+
+
 def hermitian_eig(M: np.ndarray) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -38,11 +47,7 @@ def hermitian_eig(M: np.ndarray) -> HermitianEig:
     Hermiticity is checked to ``HERMITIAN_TOL``.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    residue = np.abs(M - _dagger(M)).max()
-    if not residue <= HERMITIAN_TOL:  # a nan residue fails too
-        raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
+    _check_hermitian(M)
     values, vectors = np.linalg.eigh(M)
     return HermitianEig(values, vectors)
 
@@ -55,12 +60,9 @@ def solve_sym(G: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     G = np.asarray(G, dtype=float)
     b = np.asarray(b, dtype=float)
-    if G.ndim < 2 or G.shape[-1] != G.shape[-2]:
-        raise ShapeMismatchError(f"expected a square matrix, got shape {G.shape}")
+    _check_hermitian(G)
     if b.shape != G.shape[:-1]:
         raise ShapeMismatchError(f"rhs shape {b.shape} incompatible with {G.shape}")
-    if np.abs(G - G.swapaxes(-1, -2)).max() > HERMITIAN_TOL:
-        raise NotHermitianError("matrix is not symmetric")
     w = np.linalg.eigvalsh(G)
     # w[0] <= 1e-14 max(w[-1], 0): a non-positive w[-1] makes w[0] <= w[-1] <= 1e-14 w[-1]
     singular = w[..., 0] <= 1e-14 * w[..., -1]

@@ -16,6 +16,7 @@ Petz functions in lockstep as one stack.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -29,11 +30,30 @@ GRAD_ZERO = 1e-10
 RULES = ("trust", "lr")
 
 
+def _square(what: str, matrix: np.ndarray) -> np.ndarray:
+    """matrix as a complex array, if it is square."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeMismatchError(f"{what} shape {m.shape} is not square")
+    return m
+
+
+def _matching(what: str, matrix: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """matrix as a complex array, if its shape is that of the state, or of each state in a stack."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.shape != rho.shape[-2:]:
+        raise ShapeMismatchError(f"{what} shape {m.shape} vs state {rho.shape[-2:]}")
+    return m
+
+
 @dataclass(frozen=True)
 class StateDistance:
     """L(theta) = ||rho_theta - target||_F^2 for a fixed target density matrix."""
 
     target: np.ndarray
+
+    def __post_init__(self):
+        _square("target", self.target)
 
 
 @dataclass(frozen=True)
@@ -43,9 +63,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.matrix, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ShapeMismatchError(f"observable shape {h.shape} is not square")
+        h = _square("observable", self.matrix)
         with np.errstate(invalid="ignore"):  # an inf entry leaves a nan residue, which passes
             residue = np.abs(h - h.conj().T).max()
         if residue > HERMITIAN_TOL:
@@ -61,23 +79,22 @@ def cost_and_gradient(
     """L and dL/dtheta^k from the state rho and its (K, d, d) derivatives d rho / d theta^k.
 
     For a stack, rho is (N, d, d) and derivs (N, K, d, d); L is then (N,)
-    and the gradient (N, K).  An ``Observable`` checked its Hermiticity when
-    it was made; here only its shape is checked against the state's.
+    and the gradient (N, K).  A cost checked that its matrix is square (and
+    an ``Observable`` its Hermiticity) when it was made; here only the
+    matrix's shape is checked against the state's.
     """
     derivs = np.asarray(derivs, dtype=complex)
     if isinstance(cost, StateDistance):
-        diff = rho - cost.target
+        diff = rho - _matching("target", cost.target, rho)
         flat = diff.reshape(*diff.shape[:-2], -1)
         value = np.vecdot(flat, flat).real  # per member, the BLAS dot of np.vdot
         grad = 2.0 * np.einsum("...kij,...ij->...k", derivs, diff.conj()).real
     elif isinstance(cost, Observable):
-        h = np.asarray(cost.matrix, dtype=complex)
-        if h.shape != rho.shape[-2:]:
-            raise ShapeMismatchError(f"observable shape {h.shape} vs state {rho.shape[-2:]}")
+        h = _matching("observable", cost.matrix, rho)
         value = np.trace(rho @ h, axis1=-2, axis2=-1).real
         grad = np.ascontiguousarray(np.einsum("...kij,ji->...k", derivs, h).real)
     else:
-        raise TypeError(f"unknown cost function {cost!r}")
+        raise ValidationError(f"unknown cost function {cost!r}")
     return (float(value), grad) if value.ndim == 0 else (value, grad)
 
 
@@ -106,17 +123,49 @@ def _step(G: np.ndarray, grad: np.ndarray, move):
     return np.where(done, 0.0, dtheta), converged
 
 
+def _positive(name: str, value: float) -> List[str]:
+    """[] if value is positive and finite, else the one problem; nan is a problem too."""
+    return [] if 0.0 < value < np.inf else [f"{name} = {value} must be positive and finite"]
+
+
+def option_problems(
+    rule: str,
+    eta: float,
+    epsilon: float,
+    delta: float,
+    xi: float,
+    rank_tol: float,
+    max_steps: int,
+    grad_tol: float,
+) -> List[str]:
+    """Every problem with ``run``'s options, one message naming each bad value; [] if none."""
+    problems = [] if rule in RULES else [f"rule {rule!r} must be " + " or ".join(map(repr, RULES))]
+    for name, value in (("eta", eta), ("epsilon", epsilon), ("rank_tol", rank_tol)):
+        problems += _positive(name, value)
+    if not 0.0 <= grad_tol < np.inf:
+        problems.append(f"grad_tol = {grad_tol} must be >= 0 and finite")
+    for name, value in (("delta", delta), ("xi", xi)):
+        if not 0.0 <= value <= 1.0:
+            problems.append(f"{name} = {value} outside [0, 1]")
+    if not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+        problems.append(f"max_steps = {max_steps} must be an integer >= 0")
+    return problems
+
+
+def _require(problems: List[str]) -> None:
+    if problems:
+        raise ValidationError("; ".join(problems))
+
+
 def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> Tuple[np.ndarray, bool]:
     """Trust-region step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _require(_positive("epsilon", epsilon))
     return _step(G, grad, lambda g, d: -np.sqrt(2.0 * epsilon / np.vecdot(g, d))[..., None] * d)
 
 
 def step_lr(G: np.ndarray, grad: np.ndarray, eta: float) -> Tuple[np.ndarray, bool]:
     """Fixed learning-rate step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
+    _require(_positive("eta", eta))
     return _step(G, grad, lambda g, d: -eta * d)
 
 
@@ -193,25 +242,12 @@ def run(
     whose |grad| is below ``grad_tol`` or GRAD_ZERO (where its step would
     be zero), or when it aborts.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
-    records accumulated so far.  A bad ``rule``, ``eta``, ``epsilon``,
-    ``delta``, ``xi``, ``rank_tol``, ``max_steps`` or ``grad_tol`` raises
-    ValidationError before any circuit pass, nan and inf included; the
-    bounds are those of ``cli.validate_config``, except that ``delta`` and
-    ``xi`` may be 1, as the functions that consume them allow.
+    records accumulated so far.  Bad options raise ValidationError before
+    any circuit pass, with the problems that ``option_problems`` lists (the
+    CLI checks the same).  ``xi`` = 1 makes every metric the identity, so
+    the run is plain gradient descent.
     """
-    problems = [] if rule in RULES else [f"unknown update rule {rule!r}"]
-    for name, value in (("eta", eta), ("epsilon", epsilon), ("rank_tol", rank_tol)):
-        if not 0.0 < value < np.inf:  # nan too
-            problems.append(f"{name} = {value} must be positive and finite")
-    if not 0.0 <= grad_tol < np.inf:
-        problems.append(f"grad_tol = {grad_tol} must be >= 0 and finite")
-    for name, value in (("delta", delta), ("xi", xi)):
-        if not 0.0 <= value <= 1.0:
-            problems.append(f"{name} = {value} outside [0, 1]")
-    if max_steps < 0:
-        problems.append(f"max_steps = {max_steps} must be >= 0")
-    if problems:
-        raise ValidationError("; ".join(problems))
+    _require(option_problems(rule, eta, epsilon, delta, xi, rank_tol, max_steps, grad_tol))
     single = isinstance(f, petz.PetzFunction)
     fs = [f] if single else list(f)
     trajectories = [Trajectory() for _ in fs]

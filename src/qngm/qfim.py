@@ -145,7 +145,7 @@ def regularize_metric(G: np.ndarray, xi: float) -> np.ndarray:
     """(1 - xi) G + xi I, for one metric or a (N, K, K) stack."""
     G = np.asarray(G, dtype=float)
     if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi = {xi} outside [0, 1]")
+        raise ValidationError(f"xi = {xi} outside [0, 1]")
     return (1.0 - xi) * G + xi * _identity(G.shape[-1])
 
 
@@ -153,7 +153,7 @@ def check_kraus(kraus: Sequence[np.ndarray]) -> np.ndarray:
     """The Kraus operators as one (..., M, d, d) array; sum K^dagger K = I to ``KRAUS_TOL``."""
     kraus = np.asarray(kraus, dtype=complex)
     total = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
-    if np.abs(total - np.eye(kraus.shape[-1])).max() > KRAUS_TOL:
+    if not np.abs(total - np.eye(kraus.shape[-1])).max() <= KRAUS_TOL:  # nan fails too
         raise ShapeMismatchError("Kraus operators do not satisfy sum K^dagger K = I")
     return kraus
 

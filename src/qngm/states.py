@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotHermitianError, NumericalError, ShapeMismatchError
+from .errors import NotHermitianError, NumericalError, ShapeMismatchError, ValidationError
 from .linalg import HermitianEig, _identity, hermitian_eig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -26,9 +26,9 @@ DENSITY_TOL = 1e-10
 
 
 def bloch_state(x: float, y: float, z: float) -> np.ndarray:
-    """Single-qubit state (1 + x sx + y sy + z sz) / 2; requires |r| <= 1."""
-    if x * x + y * y + z * z > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector ({x}, {y}, {z}) lies outside the ball")
+    """Single-qubit state (1 + x sx + y sy + z sz) / 2; requires |r| <= 1 (nan fails)."""
+    if not x * x + y * y + z * z <= 1.0 + 1e-12:
+        raise ValidationError(f"Bloch vector ({x}, {y}, {z}) lies outside the ball")
     return 0.5 * (np.eye(2, dtype=complex) + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 
 
@@ -264,7 +264,7 @@ def derivatives(state: CircuitState, theta: np.ndarray) -> np.ndarray:
 def regularize_state(rho: np.ndarray, delta: float) -> np.ndarray:
     """Mix toward the maximally mixed state: (1 - delta) rho + delta I / N; rho may be a stack."""
     if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta = {delta} outside [0, 1]")
+        raise ValidationError(f"delta = {delta} outside [0, 1]")
     n = rho.shape[-1]
     return (1.0 - delta) * rho + delta * _identity(n, complex) / n
 

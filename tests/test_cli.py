@@ -5,8 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qngm import cli, optimizer, states
+from qngm import cli, optimizer, petz, states
 from qngm.errors import ParseError, ValidationError
 
 
@@ -462,3 +464,68 @@ def test_an_empty_field_among_numbers_is_a_parse_error(tmp_path, monkeypatch, ca
     assert runs == [] and os.listdir(tmp_path) == []
     with pytest.raises(ParseError):
         cli._parse_floats(text)
+
+
+class CircuitPass(Exception):
+    """Raised by a patched circuit evaluation: the run got past its option checks."""
+
+
+def _refuse(*args, **kwargs):
+    raise CircuitPass
+
+
+RUN_VALUES = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, 0.0, 1e-12, 0.5, 1.0, 1.5, 3.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rule=st.sampled_from(["lr", "trust", "sgd"]),
+    floats=st.fixed_dictionaries(
+        {},  # an option left out takes its default
+        optional={
+            name: RUN_VALUES for name in ("eta", "epsilon", "delta", "xi", "rank_tol", "grad_tol")
+        },
+    ),
+    steps=st.integers(-3, 3),
+)
+@example(rule="lr", floats={"delta": 1.0}, steps=3)
+@example(rule="lr", floats={"xi": 1.0}, steps=3)
+def test_the_cli_and_the_library_accept_the_same_run_options(rule, floats, steps):
+    try:
+        cli.load_config(overrides={"rule": rule, "steps": steps, **floats})
+    except ValidationError:
+        cli_refuses = True
+    else:
+        cli_refuses = False
+    circuit, cost, theta0 = cli.build_experiment(cli.ExperimentConfig())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(states, "evaluate", _refuse)
+        patch.setattr(states, "derivatives", _refuse)
+        with pytest.raises((ValidationError, CircuitPass)) as outcome:
+            optimizer.run(circuit, cost, petz.SLD, theta0, rule=rule, max_steps=steps, **floats)
+    assert cli_refuses == (outcome.type is ValidationError)
+
+
+def test_xi_one_runs_plain_gradient_descent(tmp_path):
+    out = tmp_path / "gd.csv"
+    argv = ["run", "--rule", "lr", "--eta", "0.01", "--xi", "1", "--steps", "20"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 21
+    circuit, cost, theta = cli.build_experiment(cli.ExperimentConfig())
+    for row in rows:
+        rho, derivs = states.evaluate(circuit, theta), states.derivatives(circuit, theta)
+        value, grad = optimizer.cost_and_gradient(cost, rho, derivs)
+        assert float(row[1]) == value
+        assert float(row[2]) == np.linalg.norm(grad)
+        assert float(row[3]) == 1.0
+        theta = theta - 0.01 * grad
+
+
+@pytest.mark.parametrize("seed, samples", [(1.5, 5), (7, 2.5), (-1, 5), (7, 0)])
+def test_bad_property_counts_fail_before_any_check(monkeypatch, seed, samples):
+    checked = []
+    monkeypatch.setattr(petz, "check_conditions", lambda *args: checked.append(args))
+    with pytest.raises(ValidationError, match="must be an integer"):
+        cli.run_properties(seed, samples)
+    assert checked == []

@@ -3,8 +3,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qngm import classical, divergence, qfim, states
-from qngm.errors import RankDeficientError, ShapeMismatchError
+from qngm import classical, divergence, petz, qfim, states
+from qngm.errors import RankDeficientError, ShapeMismatchError, ValidationError
 
 KINDS = {
     "qkl": divergence.quantum_kl,
@@ -151,8 +151,13 @@ def test_bures_angle_distance_small_separation():
 
 
 def test_fd_hessian_step_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         divergence.fd_hessian(lambda t: 0.0, np.zeros(2), h=1e-5)
+
+
+def test_paired_divergence_needs_a_renyi_index():
+    with pytest.raises(ValidationError, match="no divergence pairing"):
+        divergence.paired_divergence(petz.linear(0.3, petz.RRLD, petz.SLD))
 
 
 def test_fd_hessian_quadratic_exact():

@@ -69,6 +69,24 @@ def test_solve_sym_errors():
         linalg.solve_sym(np.eye(2), [1.0, 2.0, 3.0])
 
 
+def test_solve_sym_rejects_an_infinite_matrix():
+    g = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    with pytest.raises(NotHermitianError), pytest.warns(RuntimeWarning, match="invalid value"):
+        linalg.solve_sym(g, [1.0, 1.0])  # inf - inf leaves a nan residue
+    with pytest.raises(NotHermitianError), pytest.warns(RuntimeWarning, match="invalid value"):
+        linalg.hermitian_eig(g)
+
+
+def test_solve_sym_rejects_a_nan_matrix():
+    g = np.full((2, 2), np.nan)
+    with pytest.raises(NotHermitianError):
+        linalg.solve_sym(g, [1.0, 1.0])
+    with pytest.raises(NotHermitianError):
+        linalg.solve_sym(np.stack([np.eye(2), g]), np.ones((2, 2)))
+    with pytest.raises(NotHermitianError):
+        linalg.hermitian_eig(g)
+
+
 def test_condition_number():
     assert linalg.condition_number(np.diag([1.0, 4.0])) == pytest.approx(4.0)
     assert linalg.condition_number(np.diag([0.0, 1.0])) == np.inf

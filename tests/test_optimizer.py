@@ -79,6 +79,14 @@ def test_step_zero_gradient_converges():
     assert converged and np.all(dtheta == 0)
 
 
+@pytest.mark.parametrize("size", [0.0, -1.0, np.nan, np.inf])
+def test_bad_step_size_is_a_validation_error(size):
+    with pytest.raises(ValidationError, match="eta"):
+        optimizer.step_lr(np.eye(2), np.ones(2), size)
+    with pytest.raises(ValidationError, match="epsilon"):
+        optimizer.step_trust(np.eye(2), np.ones(2), size)
+
+
 def test_step_lr_is_plain_gd_for_identity():
     g = np.array([1.0, -2.0])
     dtheta, _ = optimizer.step_lr(np.eye(2), g, 0.1)
@@ -244,6 +252,8 @@ def test_run_builds_the_state_once_per_record(monkeypatch, name):
         (dict(grad_tol=-1.0), "grad_tol"),
         (dict(grad_tol=np.nan), "grad_tol"),
         (dict(grad_tol=np.inf), "grad_tol"),
+        (dict(max_steps=1.5), "max_steps"),
+        (dict(max_steps=np.nan), "max_steps"),
     ],
 )
 def test_bad_step_options_fail_before_any_circuit_pass(monkeypatch, options, name):
@@ -284,6 +294,31 @@ def test_observable_of_another_dimension_aborts_every_member():
     assert solo.error == "ShapeMismatchError: observable shape (4, 4) vs state (2, 2)"
     stacked = optimizer.run(circuit, cost, [petz.SLD, petz.BKM], theta0, max_steps=3)
     assert [t.error for t in stacked] == [solo.error] * 2
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_target_of_another_dimension_aborts_every_member(dim):
+    circuit, _, theta0 = experiment()
+    cost = optimizer.StateDistance(np.eye(dim, dtype=complex) / dim)
+    solo = optimizer.run(circuit, cost, petz.SLD, theta0, max_steps=3)
+    assert solo.records == []
+    assert solo.error == f"ShapeMismatchError: target shape ({dim}, {dim}) vs state (2, 2)"
+    stacked = optimizer.run(circuit, cost, [petz.SLD, petz.BKM], theta0, max_steps=3)
+    assert [t.error for t in stacked] == [solo.error] * 2
+
+
+def test_target_must_be_square():
+    with pytest.raises(ShapeMismatchError, match="target shape \\(2, 3\\) is not square"):
+        optimizer.StateDistance(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ShapeMismatchError, match="not square"):
+        optimizer.StateDistance(np.zeros(4, dtype=complex))
+
+
+def test_unknown_cost_is_a_validation_error():
+    circuit, _, theta0 = experiment()
+    rho, derivs = states.evaluate(circuit, theta0), states.derivatives(circuit, theta0)
+    with pytest.raises(ValidationError, match="unknown cost function"):
+        optimizer.cost_and_gradient(np.eye(2), rho, derivs)
 
 
 def test_cost_and_gradient_checks_the_observable_shape():

@@ -243,6 +243,23 @@ def test_check_kraus_rejects_incomplete():
         qfim.check_kraus([0.5 * np.eye(2, dtype=complex)])
 
 
+def test_check_kraus_rejects_nan():
+    with pytest.raises(ShapeMismatchError):
+        qfim.check_kraus([np.full((2, 2), np.nan)])
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        kraus = qfim.depolarizing_kraus(2.0)  # sqrt(1 - 3p/4) of a negative number
+    rng = np.random.default_rng(0)
+    rho, x = qfim.random_density(rng, 2), qfim.random_tangent(rng, 2)
+    with pytest.raises(ShapeMismatchError):
+        qfim.apply_channel(kraus, rho, [x])
+
+
+@pytest.mark.parametrize("xi", [-0.1, 1.5, np.nan])
+def test_regularize_metric_rejects_xi_outside_the_unit_interval(xi):
+    with pytest.raises(ValidationError, match="xi"):
+        qfim.regularize_metric(np.eye(2), xi)
+
+
 def test_monotone_probe_contracts():
     for f in (petz.SLD, petz.RRLD):
         result = qfim.monotonicity_probe(f, 200, seed=12345)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qngm import cli, qfim, states
-from qngm.errors import NumericalError, ShapeMismatchError
+from qngm.errors import NumericalError, ShapeMismatchError, ValidationError
 
 
 def single_qubit_circuit(x=0.5, y=0.0, z=0.0):
@@ -24,8 +24,10 @@ def test_bloch_state():
     rho = states.bloch_state(0.5, 0.0, 0.0)
     np.testing.assert_allclose(rho, [[0.5, 0.25], [0.25, 0.5]])
     np.testing.assert_allclose(np.linalg.eigvalsh(rho), [0.25, 0.75])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         states.bloch_state(1.0, 0.5, 0.0)
+    with pytest.raises(ValidationError):
+        states.bloch_state(np.nan, 0.0, 0.0)
 
 
 def test_evaluate_identity_at_zero():
@@ -88,6 +90,12 @@ def test_regularize_state():
     np.testing.assert_allclose(
         np.linalg.eigvalsh(states.regularize_state(pure, 1e-3)), [5e-4, 1 - 5e-4], atol=1e-15
     )
+
+
+@pytest.mark.parametrize("delta", [-0.1, 1.5, np.nan])
+def test_regularize_state_rejects_delta_outside_the_unit_interval(delta):
+    with pytest.raises(ValidationError, match="delta"):
+        states.regularize_state(np.eye(2, dtype=complex) / 2, delta)
 
 
 def test_regularized_derivatives_scale_exactly():
