@@ -154,7 +154,9 @@ def validate_config(config: ExperimentConfig) -> ExperimentConfig:
     problems: List[str] = []
     if config.experiment not in EXPERIMENTS:
         problems.append(f"experiment {config.experiment!r} not in {tuple(EXPERIMENTS)}")
-    problems += optimizer.option_problems(**_run_options(config))
+    # option_problems names run's keyword max_steps, which is the config's steps
+    options = optimizer.option_problems(**_run_options(config))
+    problems += [problem.replace("max_steps", "steps") for problem in options]
     for name in ("omega", "coupling", "theta0", "theta_star", "bloch"):
         value = getattr(config, name)
         if value is not None and not np.all(np.isfinite(value)):
@@ -321,55 +323,57 @@ def run_experiment(config: ExperimentConfig) -> List[str]:
     return [path for _, path in jobs]
 
 
-def _property_lines(seed: int, samples: int) -> List[Tuple[str, bool, str]]:
+def property_checks(seed: int, samples: int) -> List[Tuple[str, bool, Optional[float], str]]:
+    """The property report as data: one ``(name, ok, value, detail)`` row per report line.
+
+    ``value`` is the number a check compares with its bound, or None for the
+    two ordering checks and for a witness search that finds none; ``detail``
+    is printed after the name.  ``samples`` must be an integer >= 1 and
+    ``seed`` one >= 0, or ValidationError is raised before any check.
+    """
+    qfim._require_count("samples", samples, 1)
+    qfim._require_count("seed", seed, 0)
     grid = petz.default_grid()
-    checks: List[Tuple[str, bool, str]] = []
+
+    def bounded(name, value, bound, label="max violation"):
+        return name, float(value) <= bound, float(value), f"{label} {value:.2e}"
 
     specs = (
         "sld", "bkm", "rrld", "half", "sw:0.1", "sw:0.25", "sw:2", "sw:-1",
         "st:0.5", "st:3", "lin:0.3:rrld:sld", "sw:0+", "sw:0-", "sw:inf",
     )  # fmt: skip
-    worst = 0.0
-    for spec in specs:
-        report = petz.check_conditions(petz.parse(spec), grid)
-        worst = max(
-            worst, report.f1_violation, report.symmetry_violation, report.positivity_violation
-        )
-    checks.append(
-        ("petz conditions f(1)=1, f(t)=t f(1/t), f>0", worst <= 1e-10, f"max violation {worst:.2e}")
-    )
+    reports = [petz.check_conditions(petz.parse(spec), grid) for spec in specs]
+    worst = max(max(r.f1_violation, r.symmetry_violation, r.positivity_violation) for r in reports)
+    rows = [bounded("petz conditions f(1)=1, f(t)=t f(1/t), f>0", worst, 1e-10)]
 
-    coincidences = [
+    left, right = zip(
         (petz.sandwiched(0.5), petz.SLD),
         (petz.sandwiched(2.0), petz.HALF),
         (petz.sandwiched(-1.0), petz.RRLD),
         (petz.standard(2.0), petz.RRLD),
         (petz.standard(-1.0), petz.RRLD),
         (petz.standard(1.0), petz.BKM),
-    ]
-    worst = max(
-        float(np.abs(petz.evaluate(a, grid) - petz.evaluate(b, grid)).max())
-        for a, b in coincidences
     )
-    checks.append(("petz coincidence table", worst <= 1e-10, f"max violation {worst:.2e}"))
+    values = petz.evaluate(left + right, np.tile(grid, (2 * len(left), 1)))  # one stacked call
+    worst = np.abs(values[: len(left)] - values[len(left) :]).max()
+    rows.append(bounded("petz coincidence table", worst, 1e-10))
 
+    below = (petz.Order.LESS, petz.Order.EQUAL)
     monotone = [petz.SLD, petz.BKM, petz.RRLD, petz.HALF, petz.sandwiched(2.0), petz.INFINITY]
-    order_ok = all(
-        petz.compare(petz.RRLD, fn, grid) in (petz.Order.LESS, petz.Order.EQUAL)
-        and petz.compare(fn, petz.SLD, grid) in (petz.Order.LESS, petz.Order.EQUAL)
+    ordered = all(
+        petz.compare(petz.RRLD, fn, grid) in below and petz.compare(fn, petz.SLD, grid) in below
         for fn in monotone
     )
-    checks.append(("rrld <= monotone f <= sld on grid", order_ok, ""))
-
+    rows.append(("rrld <= monotone f <= sld on grid", ordered, None, ""))
     dominated = all(
         petz.compare(petz.ZERO_PLUS, petz.sandwiched(a), grid)
         in (petz.Order.GREATER, petz.Order.EQUAL)
         for a in (0.1, 0.3, 0.5, 2.0, -0.5, -1.0, -3.0)
     )
-    checks.append(("sw:0+ dominates the sandwiched family", dominated, ""))
+    rows.append(("sw:0+ dominates the sandwiched family", dominated, None, ""))
 
     worst = max(divergence.f_divergence_consistency(a) for a in (-0.5, 0.0, 0.5, 1.0, 3.0))
-    checks.append(("F-divergence kernel identity", worst <= 1e-10, f"max violation {worst:.2e}"))
+    rows.append(bounded("F-divergence kernel identity", worst, 1e-10))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -384,9 +388,7 @@ def _property_lines(seed: int, samples: int) -> List[Tuple[str, bool, str]]:
             )
             ref = classical.fisher(p)
             worst = max(worst, float(np.abs(hess - ref).max() / np.abs(ref).max()))
-    checks.append(
-        ("classical Renyi Hessian is alpha-independent", worst <= 1e-4, f"max rel {worst:.2e}")
-    )
+    rows.append(bounded("classical Renyi Hessian is alpha-independent", worst, 1e-4, "max rel"))
 
     worst = 0.0
     for fn in (petz.SLD, petz.BKM, petz.RRLD, petz.sandwiched(2.0)):
@@ -399,28 +401,20 @@ def _property_lines(seed: int, samples: int) -> List[Tuple[str, bool, str]]:
         )
         ref = qfim.metric(rho, tangents, fn)
         worst = max(worst, float(np.linalg.norm(hess - ref) / np.linalg.norm(ref)))
-    checks.append(
-        ("metric equals divergence Hessian (spot check)", worst <= 1e-3, f"max rel {worst:.2e}")
-    )
+    rows.append(bounded("metric equals divergence Hessian (spot check)", worst, 1e-3, "max rel"))
 
     for name, fn in (("sld", petz.SLD), ("rrld", petz.RRLD)):
-        probe = qfim.monotonicity_probe(fn, samples, seed)
-        checks.append(
-            (
-                f"monotone contraction for {name} ({samples} triples)",
-                probe.max_violation <= 1e-9,
-                f"max violation {probe.max_violation:.2e}",
-            )
-        )
+        worst = qfim.monotonicity_probe(fn, samples, seed).max_violation
+        rows.append(bounded(f"monotone contraction for {name} ({samples} triples)", worst, 1e-9))
 
     witness = first_witness(seed)
-    detail = (
-        f"violation {witness.violation:.3e} at sample {witness.index}"
-        if witness
-        else f"no witness in {WITNESS_CAP} triples"
-    )
-    checks.append(("non-monotonicity witness for sw:0.25", witness is not None, detail))
-    return checks
+    name = "non-monotonicity witness for sw:0.25"
+    if witness is None:
+        rows.append((name, False, None, f"no witness in {WITNESS_CAP} triples"))
+    else:
+        detail = f"violation {witness.violation:.3e} at sample {witness.index}"
+        rows.append((name, True, float(witness.violation), detail))
+    return rows
 
 
 def first_witness(seed: int) -> Optional[qfim.Witness]:
@@ -430,15 +424,13 @@ def first_witness(seed: int) -> Optional[qfim.Witness]:
 
 
 def run_properties(seed: int, samples: int) -> Tuple[str, bool]:
-    """Aggregate the invariant suites into a text report; ok = all passed."""
-    qfim._require_count("samples", samples, 1)
-    qfim._require_count("seed", seed, 0)
-    lines = []
-    all_ok = True
-    for name, ok, detail in _property_lines(seed, samples):
-        status = "PASS" if ok else "FAIL"
-        all_ok &= ok
-        lines.append(f"{status}  {name}" + (f"  ({detail})" if detail else ""))
+    """The report text, one line per row of ``property_checks``; ok = every check passed."""
+    rows = property_checks(seed, samples)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else "")
+        for name, ok, _, detail in rows
+    ]
+    all_ok = all(ok for _, ok, _, _ in rows)
     lines.append("all properties passed" if all_ok else "one or more properties FAILED")
     return "\n".join(lines), all_ok
 

@@ -31,11 +31,12 @@ def _dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
 
+@np.errstate(invalid="ignore")  # an inf entry leaves inf - inf = nan, refused below
 def _check_hermitian(M: np.ndarray) -> None:
     """Raise unless M is a square matrix, or stack, with max |M - M^dagger| <= HERMITIAN_TOL."""
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    residue = np.abs(M - _dagger(M)).max()  # an inf entry warns here (inf - inf) and fails below
+    residue = np.abs(M - _dagger(M)).max()
     if not residue <= HERMITIAN_TOL:  # a nan residue fails too
         raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
 

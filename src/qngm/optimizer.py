@@ -94,8 +94,15 @@ def cost_and_gradient(
         value = np.trace(rho @ h, axis1=-2, axis2=-1).real
         grad = np.ascontiguousarray(np.einsum("...kij,ji->...k", derivs, h).real)
     else:
-        raise ValidationError(f"unknown cost function {cost!r}")
+        raise ValidationError(*_cost_problems(cost))
     return (float(value), grad) if value.ndim == 0 else (value, grad)
+
+
+def _cost_problems(cost) -> List[str]:
+    """[] for a StateDistance or an Observable, else the one problem, naming the cost's type."""
+    if isinstance(cost, (StateDistance, Observable)):
+        return []
+    return [f"unknown cost function of type {type(cost).__name__}"]
 
 
 def _norm(grad: np.ndarray) -> np.ndarray:
@@ -242,12 +249,14 @@ def run(
     whose |grad| is below ``grad_tol`` or GRAD_ZERO (where its step would
     be zero), or when it aborts.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
-    records accumulated so far.  Bad options raise ValidationError before
-    any circuit pass, with the problems that ``option_problems`` lists (the
-    CLI checks the same).  ``xi`` = 1 makes every metric the identity, so
-    the run is plain gradient descent.
+    records accumulated so far.  Bad options, and a cost that is neither a
+    StateDistance nor an Observable, raise ValidationError before any
+    circuit pass, with the problems that ``option_problems`` and
+    ``_cost_problems`` list (the CLI checks the same options).  ``xi`` = 1
+    makes every metric the identity, so the run is plain gradient descent.
     """
-    _require(option_problems(rule, eta, epsilon, delta, xi, rank_tol, max_steps, grad_tol))
+    problems = option_problems(rule, eta, epsilon, delta, xi, rank_tol, max_steps, grad_tol)
+    _require(problems + _cost_problems(cost))
     single = isinstance(f, petz.PetzFunction)
     fs = [f] if single else list(f)
     trajectories = [Trajectory() for _ in fs]
@@ -271,9 +280,11 @@ def run(
             G_th = qfim.diagonal(G_th)
         G_th = qfim.regularize_metric(G_th, xi)
         value, grad_th = cost_and_gradient(cost, rho, derivs)
-        if not (np.isfinite(value).all() and np.isfinite(grad_th).all()):
-            raise NumericalError(f"non-finite cost or gradient at step {step}")
-        return th, G_th, grad_th, value, _norm(grad_th), condition_number(G_th)
+        with np.errstate(over="ignore"):  # finite entries may square past the float range
+            norms = _norm(grad_th)  # not finite if an entry is not, so it checks grad too
+        if not (np.isfinite(value).all() and np.isfinite(norms).all()):
+            raise NumericalError(f"non-finite cost or gradient norm at step {step}")
+        return th, G_th, grad_th, value, norms, condition_number(G_th)
 
     for step in range(max_steps + 1):
         if not live:

@@ -281,12 +281,12 @@ class ConditionReport:
 
 
 def check_conditions(f: Union[PetzFunction, Callable], grid: np.ndarray) -> ConditionReport:
-    """Check the defining Petz identities on a grid (accepts any callable)."""
-    grid = np.asarray(grid, dtype=float)
-    ft = np.asarray(f(grid), dtype=float)
-    finv = np.asarray(f(1.0 / grid), dtype=float)
+    """Check the defining Petz identities on a grid, calling f (any elementwise callable) once."""
+    grid = np.asarray(grid, dtype=float).ravel()
+    values = np.asarray(f(np.concatenate([grid, 1.0 / grid, [1.0]])), dtype=float)
+    ft, finv, f1 = values[: grid.size], values[grid.size : -1], values[-1]
     return ConditionReport(
-        f1_violation=abs(float(f(np.array(1.0))) - 1.0),
+        f1_violation=abs(float(f1) - 1.0),
         symmetry_violation=float(np.abs(ft - grid * finv).max()),
         positivity_violation=float(max(0.0, -ft.min())),
     )
@@ -304,10 +304,10 @@ def default_grid(n: int = 200, lo: float = 1e-3, hi: float = 1e3) -> np.ndarray:
 
 
 def compare(f: PetzFunction, g: PetzFunction, grid: Optional[np.ndarray] = None) -> Order:
-    """Pointwise partial order of two Petz functions on a grid, to ``ORDER_TOL``."""
+    """Pointwise partial order of two Petz functions on a grid, to ``ORDER_TOL``; one call."""
     if grid is None:
         grid = default_grid()
-    ft, gt = evaluate(f, grid), evaluate(g, grid)
+    ft, gt = evaluate([f, g], np.stack([grid, grid]))
     le = bool(np.all(ft <= gt + ORDER_TOL))
     ge = bool(np.all(ft >= gt - ORDER_TOL))
     if le and ge:

@@ -39,6 +39,7 @@ KRAUS_TOL = 1e-10
 _CHUNK = 100
 
 
+@np.errstate(all="ignore")  # what would warn is refused by the checks below
 def metric(
     rho: np.ndarray,
     tangents: Sequence[np.ndarray],
@@ -54,7 +55,9 @@ def metric(
     and one batched GEMM serve the whole stack.  ``f`` is one Petz function
     for every member, or a sequence of N, one per member; either way it goes
     unchanged to one ``petz.evaluate`` call (and one ``petz.eval_zero`` call
-    for a rank-deficient stack), which evaluates each kind once.
+    for a rank-deficient stack), which evaluates each kind once.  A Petz
+    value at the eigenvalue ratios that is not positive and finite, or a G
+    that is not finite, raises NumericalError, with no floating-point warning.
     """
     p, v = check_density(rho)  # p is (..., d), v is (..., d, d)
     batch, dim = p.shape[:-1], p.shape[-1]
@@ -87,7 +90,14 @@ def metric(
         f0 = np.where(member_deficient, f0, 1.0)[..., None, None]
         p = np.where(small, 1.0, p)  # a placeholder: weights touching the kernel are set below
     ratios = p[..., :, None] / p[..., None, :]
-    weights = 1.0 / (p[..., None, :] * petz.evaluate(f, ratios))
+    values = petz.evaluate(f, ratios)
+    if not (values.min() > 0.0 and values.max() < np.inf):  # nan fails too
+        bad = ~((0.0 < values) & (values < np.inf))
+        raise NumericalError(
+            f"Petz value f(t) = {values[bad][0]:.3e} at eigenvalue ratio t = {ratios[bad][0]:.3e} "
+            "is not positive and finite"
+        )
+    weights = 1.0 / (p[..., None, :] * values)
     if deficient:
         small_i, small_j = small[..., :, None], small[..., None, :]
         # one index in the kernel: denominator continues to p_big * f(0)
@@ -109,8 +119,11 @@ def metric(
     b = basis.reshape(*basis.shape[:-2], dim * dim)
     w = weights.swapaxes(-1, -2).reshape(*batch, 1, dim * dim)
     g = (b * w) @ b.conj().swapaxes(-1, -2)
+    scale = np.abs(g).max(axis=(-2, -1), initial=0.0)
+    if not scale.max(initial=0.0) < np.inf:  # nan fails too
+        raise NumericalError("metric is not finite")
     residue = np.abs(g.imag).max(axis=(-2, -1), initial=0.0)  # rounding, which scales with |G|
-    bad = residue > IMAG_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1), initial=0.0))
+    bad = residue > IMAG_TOL * np.maximum(1.0, scale)
     if bad.any():
         raise NumericalError(f"metric has imaginary residue {residue[bad].max():.3e}")
     g = g.real

@@ -529,3 +529,59 @@ def test_bad_property_counts_fail_before_any_check(monkeypatch, seed, samples):
     with pytest.raises(ValidationError, match="must be an integer"):
         cli.run_properties(seed, samples)
     assert checked == []
+
+
+def test_the_report_is_the_rows_of_property_checks(monkeypatch):
+    rows = cli.property_checks(7, 100)
+    assert [len(row) for row in rows] == [4] * 10
+    assert [name for name, _, value, _ in rows if value is None] == [
+        "rrld <= monotone f <= sld on grid",
+        "sw:0+ dominates the sandwiched family",
+    ]
+    assert rows[-1][0] == "non-monotonicity witness for sw:0.25" and rows[-1][2] > 0.0
+    text, ok = cli.run_properties(7, 100)
+    lines = [f"PASS  {name}" + (f"  ({detail})" if detail else "") for name, _, _, detail in rows]
+    assert ok is True and all(row[1] is True for row in rows)
+    assert text == "\n".join(lines + ["all properties passed"])
+    # one failing row fails the report, and a row without detail prints only its name
+    fake = [("a", True, 1e-12, "max violation 1.00e-12"), ("b", False, None, "")]
+    monkeypatch.setattr(cli, "property_checks", lambda seed, samples: fake)
+    assert cli.run_properties(7, 100) == (
+        "PASS  a  (max violation 1.00e-12)\nFAIL  b\none or more properties FAILED",
+        False,
+    )
+
+
+def test_property_checks_make_at_most_60_petz_evaluations(monkeypatch):
+    calls = []
+    real = petz.evaluate
+    monkeypatch.setattr(petz, "evaluate", lambda f, t: calls.append(f) or real(f, t))
+    cli.property_checks(7, 100)
+    assert len(calls) <= 60  # nested calls of lin included; 122 when each check evaluated alone
+
+
+def test_steps_is_named_as_the_flag(tmp_path, capsys):
+    assert cli.main(["run", "--steps", "-1", "--out", str(tmp_path / "no.csv")]) == 2
+    assert capsys.readouterr().err == "config error: steps = -1 must be an integer >= 0\n"
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--metric", "st:1e6"], "Petz value f(t) = 0.000e+00 at eigenvalue ratio t = "),
+        (
+            ["--experiment", "three-qubit-heisenberg", "--coupling", "1e300"],
+            "non-finite cost or gradient norm at step 0",
+        ),
+    ],
+)
+@pytest.mark.parametrize("rule", ["lr", "trust"])
+def test_a_non_finite_metric_or_gradient_norm_is_a_numerical_error(
+    tmp_path, capsys, flags, reason, rule
+):
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", *flags, "--rule", rule, "--steps", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    prefix = "numerical error: NumericalError: run aborted after 0 records: NumericalError: "
+    assert err.startswith(prefix + reason) and err.count("\n") == 1
+    assert not out.exists()

@@ -71,9 +71,9 @@ def test_solve_sym_errors():
 
 def test_solve_sym_rejects_an_infinite_matrix():
     g = np.array([[1.0, np.inf], [np.inf, 1.0]])
-    with pytest.raises(NotHermitianError), pytest.warns(RuntimeWarning, match="invalid value"):
-        linalg.solve_sym(g, [1.0, 1.0])  # inf - inf leaves a nan residue
-    with pytest.raises(NotHermitianError), pytest.warns(RuntimeWarning, match="invalid value"):
+    with pytest.raises(NotHermitianError):
+        linalg.solve_sym(g, [1.0, 1.0])  # inf - inf leaves a nan residue, without a warning
+    with pytest.raises(NotHermitianError):
         linalg.hermitian_eig(g)
 
 

@@ -321,6 +321,27 @@ def test_unknown_cost_is_a_validation_error():
         optimizer.cost_and_gradient(np.eye(2), rho, derivs)
 
 
+def test_an_unknown_cost_is_refused_before_any_circuit_pass(monkeypatch):
+    circuit, _, theta0 = experiment()
+    passes = []
+    monkeypatch.setattr(states, "evaluate", lambda *args: passes.append(args))
+    with pytest.raises(ValidationError) as info:
+        optimizer.run(circuit, np.eye(2), petz.SLD, theta0, max_steps=3)
+    assert str(info.value) == "unknown cost function of type ndarray"
+    assert passes == []
+
+
+@pytest.mark.parametrize("rule", optimizer.RULES)
+def test_an_overflowing_gradient_norm_aborts_naming_the_step(rule):
+    config = cli.ExperimentConfig(experiment="three-qubit-heisenberg", coupling=1e300)
+    circuit, cost, theta0 = cli.build_experiment(config)
+    value, grad = cost_and_gradient(cost, circuit, theta0)
+    assert np.isfinite(value) and np.isfinite(grad).all()  # only |grad| overflows
+    traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule=rule, max_steps=3)
+    assert traj.records == []
+    assert traj.error == "NumericalError: non-finite cost or gradient norm at step 0"
+
+
 def test_cost_and_gradient_checks_the_observable_shape():
     circuit, _, theta0 = experiment()
     cost = optimizer.Observable(states.pauli_on(2, 0, "z"))
@@ -355,7 +376,7 @@ def reference_run(circuit, cost, f, theta0, rule, eta=1e-3, epsilon=1e-6, delta=
             G = qfim.regularize_metric(G, xi)
             value, grad = optimizer.cost_and_gradient(cost, rho, derivs)
             if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-                raise NumericalError(f"non-finite cost or gradient at step {step}")
+                raise NumericalError(f"non-finite cost or gradient norm at step {step}")
             grad_norm = float(np.linalg.norm(grad))
             cond = condition_number(G)
             traj.records.append(optimizer.TrajectoryRecord(step, theta.copy(), value, grad_norm, cond))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -336,3 +336,80 @@ def test_stacked_evaluate_rejects_a_scalar_t():
     assert petz.evaluate([petz.SLD], [2.0]).tolist() == [1.5]
     assert isinstance(petz.evaluate(petz.SLD, 2.0), float)
     assert isinstance(petz.eval_zero(petz.SLD), float)
+
+
+def separate_conditions(f, grid):
+    """check_conditions from three separate calls of f, the former way."""
+    ft, finv = np.asarray(f(grid)), np.asarray(f(1.0 / grid))
+    return petz.ConditionReport(
+        f1_violation=abs(float(f(np.array(1.0))) - 1.0),
+        symmetry_violation=float(np.abs(ft - grid * finv).max()),
+        positivity_violation=float(max(0.0, -ft.min())),
+    )
+
+
+def separate_compare(f, g, grid):
+    """compare from two separate evaluations, the former way."""
+    ft, gt = petz.evaluate(f, grid), petz.evaluate(g, grid)
+    le = bool(np.all(ft <= gt + petz.ORDER_TOL))
+    ge = bool(np.all(ft >= gt - petz.ORDER_TOL))
+    if le and ge:
+        return petz.Order.EQUAL
+    return petz.Order.LESS if le else petz.Order.GREATER if ge else petz.Order.INCOMPARABLE
+
+
+def report_bytes(report):
+    fields = (report.f1_violation, report.symmetry_violation, report.positivity_violation)
+    return np.array(fields).tobytes()
+
+
+def top_level_calls(patch):
+    """Patch petz.evaluate to count the calls not made from inside another call."""
+    real, calls, depth = petz.evaluate, [], [0]
+
+    def counted(f, t):
+        calls.append(depth[0])
+        depth[0] += 1
+        try:
+            return real(f, t)
+        finally:
+            depth[0] -= 1
+
+    patch.setattr(petz, "evaluate", counted)
+    return lambda: calls.count(0)
+
+
+_SPECS = st.one_of(st.sampled_from(REGISTRY), _FUNCTIONS).map(petz.to_spec)
+_GRIDS = st.one_of(
+    st.just(GRID),
+    arrays(float, st.integers(1, 20), elements=st.floats(1e-3, 1e3)),
+    arrays(float, st.integers(1, 4), elements=st.sampled_from([1.0, 1.0 + 1e-7, 1.0 - 2e-6])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPECS, _SPECS, _GRIDS)
+@example("lin:0.3:rrld:sld", "sw:0.25", GRID)
+def test_each_check_is_one_evaluation_with_the_bits_of_separate_ones(f_spec, g_spec, grid):
+    f, g = petz.parse(f_spec), petz.parse(g_spec)
+    want = report_bytes(separate_conditions(f, grid)), separate_compare(f, g, grid)
+    with pytest.MonkeyPatch.context() as patch:
+        count = top_level_calls(patch)
+        report = petz.check_conditions(f, grid)
+        assert count() == 1
+        order = petz.compare(f, g, grid)
+        assert count() == 2
+    assert (report_bytes(report), order) == want
+
+
+def test_check_conditions_calls_any_callable_once():
+    calls = []
+
+    def square(t):
+        calls.append(t)
+        return t**2
+
+    assert report_bytes(petz.check_conditions(square, GRID)) == report_bytes(
+        separate_conditions(lambda t: t**2, GRID)
+    )
+    assert len(calls) == 1

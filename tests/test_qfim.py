@@ -414,6 +414,20 @@ def test_complex_metric_raises_at_any_scale():
             qfim.metric(rho, [scale * x, scale * 1j * x], petz.SLD)
 
 
+def test_a_metric_that_is_not_finite_raises_without_a_warning():
+    rho = np.diag([10.0, 1.0]).astype(complex) / 11.0
+    x = states.SIGMA_X
+    for f in (petz.standard(1e6), petz.standard(1e300)):  # f(10) underflows to 0, or is nan
+        with pytest.raises(NumericalError, match=r"Petz value f\(t\) = .* not positive and finite"):
+            qfim.metric(rho, [x], f)
+    # st:300 is about 7e-294 at t = 10, so the weights are about 1e294 and G overflows
+    with pytest.raises(NumericalError, match="metric is not finite"):
+        qfim.metric(rho, [1e10 * x], petz.standard(300.0))
+    with pytest.raises(NumericalError, match="metric is not finite"):
+        qfim.metric(rho, [np.full((2, 2), np.inf)], petz.SLD)
+    assert np.isfinite(qfim.metric(rho, [x], petz.standard(300.0))).all()
+
+
 def test_metric_of_no_tangents_is_empty():
     rng = np.random.default_rng(7)
     for rho in (qfim.random_density(rng, 3), states.bloch_state(0.0, 0.0, 1.0)):
