@@ -221,10 +221,15 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 def _ring_hamiltonian(n: int, omega: float, coupling: float) -> np.ndarray:
     """omega sum_i Z_i + coupling sum_i (XX + YY + ZZ) on the bonds (i, i + 1 mod n), n >= 3."""
     h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        h += omega * states.pauli_on(n, i, "z")
-        for p in ("x", "y", "z"):
-            h += coupling * states.pauli_on(n, i, p) @ states.pauli_on(n, (i + 1) % n, p)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for i in range(n):
+            h += omega * states.pauli_on(n, i, "z")
+            for p in ("x", "y", "z"):
+                h += coupling * states.pauli_on(n, i, p) @ states.pauli_on(n, (i + 1) % n, p)
+    if not np.isfinite(h).all():
+        raise ConfigError(
+            f"omega = {omega} and coupling = {coupling} give a Hamiltonian that is not finite"
+        )
     return h
 
 

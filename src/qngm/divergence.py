@@ -1,7 +1,11 @@
 """Quantum divergences, fidelity-based distances, and the Hessian oracle.
 
 All matrix powers and logs go through the Hermitian eigendecomposition; both
-arguments of a divergence must be full rank (regularize first).
+arguments of a divergence must be full rank (regularize first).  The first
+argument of a divergence, fidelity or Bures distance is one (d, d) state or
+a (..., d, d) stack; the second is one state, checked and diagonalised once
+per call.  A state gives a float, a stack an array of the stack's shape
+whose members have the bits of single calls.
 """
 
 from __future__ import annotations
@@ -12,27 +16,36 @@ import numpy as np
 
 from . import petz, states
 from .errors import NumericalError, RankDeficientError, ShapeMismatchError, ValidationError
+from .linalg import _dagger, _float_or_stack
 
 RANK_EPS = 1e-12
 IMAG_TOL = 1e-10
 
 
-def _real(value: complex, what: str) -> float:
-    if abs(np.imag(value)) > IMAG_TOL:
-        raise NumericalError(f"{what} has imaginary residue {np.imag(value):.3e}")
-    return float(np.real(value))
+def _real(value, what: str):
+    residue = np.abs(np.imag(value)).max(initial=0.0)
+    if residue > IMAG_TOL:
+        raise NumericalError(f"{what} has imaginary residue {residue:.3e}")
+    return np.real(value)
+
+
+def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """V diag(values) V^dagger for eigenvectors v (..., d, d) and values (..., d)."""
+    return (v * values[..., None, :]) @ _dagger(v)
 
 
 def _full_rank_eig(rho: np.ndarray):
     w, v = states.check_density(rho)
-    if w[0] < RANK_EPS:
-        raise RankDeficientError(f"smallest eigenvalue {w[0]:.3e} below {RANK_EPS:.1e}")
+    smallest = w[..., 0].min(initial=np.inf)
+    if smallest < RANK_EPS:
+        raise RankDeficientError(f"smallest eigenvalue {smallest:.3e} below {RANK_EPS:.1e}")
     return w, v
 
 
 def _check_pair(rho_bar: np.ndarray, rho: np.ndarray):
-    if rho_bar.shape != rho.shape:
-        raise ShapeMismatchError(f"state shapes differ: {rho_bar.shape} vs {rho.shape}")
+    """Raise unless rho is one (d, d) state and rho_bar one or a (..., d, d) stack of them."""
+    if np.ndim(rho) != 2 or np.shape(rho_bar)[-2:] != np.shape(rho):
+        raise ShapeMismatchError(f"state shapes differ: {np.shape(rho_bar)} vs {np.shape(rho)}")
 
 
 def _full_rank_pair(rho_bar: np.ndarray, rho: np.ndarray):
@@ -40,28 +53,27 @@ def _full_rank_pair(rho_bar: np.ndarray, rho: np.ndarray):
     return _full_rank_eig(rho_bar), _full_rank_eig(rho)
 
 
-def quantum_kl(rho_bar: np.ndarray, rho: np.ndarray) -> float:
+def quantum_kl(rho_bar: np.ndarray, rho: np.ndarray):
     """Umegaki relative entropy Tr[rho_bar (ln rho_bar - ln rho)]."""
     (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
-    log_bar = (vb * np.log(wb)) @ vb.conj().T
-    log_rho = (v * np.log(w)) @ v.conj().T
-    return _real(np.trace(rho_bar @ (log_bar - log_rho)), "quantum KL")
+    log_diff = _spectral(vb, np.log(wb)) - _spectral(v, np.log(w))
+    tr = np.trace(rho_bar @ log_diff, axis1=-2, axis2=-1)
+    return _float_or_stack(_real(tr, "quantum KL"))
 
 
-def standard_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> float:
+def standard_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float):
     """Rescaled standard Renyi: ln Tr[rho_bar^a rho^(1-a)] / (a (a - 1))."""
     if abs(alpha - 1.0) < petz.ALPHA_EPS:
         return quantum_kl(rho_bar, rho)
     if abs(alpha) < petz.ALPHA_EPS:
         raise NumericalError("standard Renyi index alpha = 0 is not supported")
     (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
-    a_pow = (vb * wb**alpha) @ vb.conj().T
-    b_pow = (v * w ** (1.0 - alpha)) @ v.conj().T
-    tr = _real(np.trace(a_pow @ b_pow), "standard Renyi trace")
-    return float(np.log(tr) / (alpha * (alpha - 1.0)))
+    product = _spectral(vb, wb**alpha) @ _spectral(v, w ** (1.0 - alpha))
+    tr = _real(np.trace(product, axis1=-2, axis2=-1), "standard Renyi trace")
+    return _float_or_stack(np.log(tr) / (alpha * (alpha - 1.0)))
 
 
-def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> float:
+def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float):
     """Rescaled sandwiched Renyi:
 
         ln Tr[(rho^((1-a)/2a) rho_bar rho^((1-a)/2a))^a] / (a (a - 1))
@@ -71,23 +83,22 @@ def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float) -> floa
     if abs(alpha) < petz.ALPHA_EPS:
         raise NumericalError("sandwiched Renyi index alpha = 0 is not supported")
     (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
-    bread = (v * w ** ((1.0 - alpha) / (2.0 * alpha))) @ v.conj().T
-    root_bar = (vb * np.sqrt(wb)) @ vb.conj().T
+    bread = _spectral(v, w ** ((1.0 - alpha) / (2.0 * alpha)))
     # spectrum of rho^c rho_bar rho^c as squared singular values: the tiny
     # eigenvalues keep full relative accuracy, which the Hessian oracle needs
-    sigma = np.linalg.svd(bread @ root_bar, compute_uv=False)
-    if sigma[-1] <= 0.0:
+    sigma = np.linalg.svd(bread @ _spectral(vb, np.sqrt(wb)), compute_uv=False)
+    if (sigma[..., -1] <= 0.0).any():
         raise RankDeficientError("sandwiched core is not positive definite")
-    tr = float(np.sum(sigma ** (2.0 * alpha)))
-    return float(np.log(tr) / (alpha * (alpha - 1.0)))
+    tr = np.sum(sigma ** (2.0 * alpha), axis=-1)
+    return _float_or_stack(np.log(tr) / (alpha * (alpha - 1.0)))
 
 
-def f_divergence(rho_bar: np.ndarray, rho: np.ndarray, F: Callable) -> float:
+def f_divergence(rho_bar: np.ndarray, rho: np.ndarray, F: Callable):
     """Quantum F-divergence sum_ij p_i F(pbar_j / p_i) |<psibar_j|psi_i>|^2."""
     (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
-    overlap2 = np.abs(vb.conj().T @ v) ** 2  # [j, i] = |<psibar_j|psi_i>|^2
-    ratio = wb[:, None] / w[None, :]
-    return float(np.sum(w[None, :] * F(ratio) * overlap2))
+    overlap2 = np.abs(_dagger(vb) @ v) ** 2  # [..., j, i] = |<psibar_j|psi_i>|^2
+    ratio = wb[..., :, None] / w
+    return _float_or_stack(np.sum(w * F(ratio) * overlap2, axis=(-2, -1)))
 
 
 def paired_divergence(f: petz.PetzFunction):
@@ -131,25 +142,28 @@ def f_divergence_consistency(alpha: float) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1]."""
+def fidelity(rho: np.ndarray, sigma: np.ndarray):
+    """(Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clipped into [0, 1].
+
+    rho may be a (..., d, d) stack; sigma is one state, checked once.
+    """
     _check_pair(rho, sigma)
     w, v = states.check_density(rho)
     states.check_density(sigma)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = _spectral(v, np.sqrt(np.clip(w, 0.0, None)))
     lam = np.linalg.eigvalsh(root @ sigma @ root)
-    value = float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
-    return min(max(value, 0.0), 1.0)
+    value = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1) ** 2
+    return _float_or_stack(np.clip(value, 0.0, 1.0))
 
 
-def bures_angle(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """arccos sqrt(F)."""
-    return float(np.arccos(np.clip(np.sqrt(fidelity(rho, sigma)), 0.0, 1.0)))
+def bures_angle(rho: np.ndarray, sigma: np.ndarray):
+    """arccos sqrt(F); rho may be a stack, as in ``fidelity``."""
+    return _float_or_stack(np.arccos(np.clip(np.sqrt(fidelity(rho, sigma)), 0.0, 1.0)))
 
 
-def bures_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """sqrt(2 (1 - sqrt(F)))."""
-    return float(np.sqrt(max(2.0 * (1.0 - np.sqrt(fidelity(rho, sigma))), 0.0)))
+def bures_distance(rho: np.ndarray, sigma: np.ndarray):
+    """sqrt(2 (1 - sqrt(F))); rho may be a stack, as in ``fidelity``."""
+    return _float_or_stack(np.sqrt(np.maximum(2.0 * (1.0 - np.sqrt(fidelity(rho, sigma))), 0.0)))
 
 
 def fubini_study(psi: np.ndarray, phi: np.ndarray) -> float:
@@ -164,12 +178,14 @@ def fubini_study(psi: np.ndarray, phi: np.ndarray) -> float:
     return float(np.arccos(np.clip(overlap, 0.0, 1.0)))
 
 
-def fd_hessian(div: Callable[[np.ndarray], float], theta: np.ndarray, h: float = 1e-3):
+def fd_hessian(div: Callable[[np.ndarray], np.ndarray], theta: np.ndarray, h: float = 1e-3):
     """Finite-difference Hessian of a divergence anchored at theta.
 
-    div maps a parameter vector theta_bar to D(theta_bar || theta) with
-    div(theta) = 0 and vanishing first derivatives at coincidence.  Uses the
-    centered stencil
+    div maps an (S, n) stack of parameter vectors theta_bar to the (S,)
+    values D(theta_bar || theta), with D(theta) = 0 and vanishing first
+    derivatives at coincidence.  It is called once, on the whole centered
+    stencil of S = 2n + n(n + 1) points, and a result of another shape
+    raises ValidationError.  The Hessian is
 
         [D(+h e_i + h e_j) + D(-h e_i - h e_j)
          - D(+h e_i) - D(-h e_i) - D(+h e_j) - D(-h e_j)] / (2 h^2)
@@ -180,21 +196,18 @@ def fd_hessian(div: Callable[[np.ndarray], float], theta: np.ndarray, h: float =
     if not 1e-4 <= h <= 1e-2:
         raise ValidationError(f"step h = {h} outside [1e-4, 1e-2]")
     n = theta.size
-    single = np.empty((n, 2))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        single[i, 0] = div(theta + e)
-        single[i, 1] = div(theta - e)
+    steps = h * np.eye(n)
+    i, j = np.triu_indices(n)
+    offsets = np.concatenate([steps, steps[i] + steps[j]])  # h e_i, then h e_i + h e_j for i <= j
+    stencil = theta + np.stack([offsets, -offsets], axis=1).reshape(-1, n)
+    values = np.asarray(div(stencil), dtype=float)
+    if values.shape != (len(stencil),):
+        raise ValidationError(
+            f"div returned shape {values.shape} for {len(stencil)} stencil points, "
+            f"expected ({len(stencil)},)"
+        )
+    plus, minus = values.reshape(-1, 2).T  # D at theta + offset and at theta - offset
+    pair = plus[n:] + minus[n:]
     hess = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros(n)
-            e[i] += h
-            e[j] += h
-            pair = div(theta + e) + div(theta - e)
-            hess[i, j] = hess[j, i] = (
-                pair - single[i, 0] - single[i, 1] - single[j, 0] - single[j, 1]
-            ) / (2.0 * h * h)
+    hess[i, j] = hess[j, i] = (pair - plus[i] - minus[i] - plus[j] - minus[j]) / (2.0 * h * h)
     return 0.5 * (hess + hess.T)
-

@@ -27,6 +27,11 @@ def _identity(dim: int, dtype=float) -> np.ndarray:
     return eye
 
 
+def _float_or_stack(x):
+    """A float for a 0-d result, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _dagger(M: np.ndarray) -> np.ndarray:
     return M.conj().swapaxes(-1, -2)
 
@@ -36,7 +41,7 @@ def _check_hermitian(M: np.ndarray) -> None:
     """Raise unless M is a square matrix, or stack, with max |M - M^dagger| <= HERMITIAN_TOL."""
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ShapeMismatchError(f"expected a square matrix, got shape {M.shape}")
-    residue = np.abs(M - _dagger(M)).max()
+    residue = np.abs(M - _dagger(M)).max(initial=0.0)
     if not residue <= HERMITIAN_TOL:  # a nan residue fails too
         raise NotHermitianError(f"max |M - M^dagger| = {residue:.3e} exceeds {HERMITIAN_TOL:.1e}")
 
@@ -81,5 +86,4 @@ def condition_number(G: np.ndarray):
     w = np.linalg.eigvalsh(np.asarray(G, dtype=float))
     lo, hi = w[..., 0], w[..., -1]
     singular = lo <= 0.0
-    cond = np.where(singular, np.inf, hi) / np.where(singular, 1.0, lo)
-    return float(cond) if cond.ndim == 0 else cond
+    return _float_or_stack(np.where(singular, np.inf, hi) / np.where(singular, 1.0, lo))

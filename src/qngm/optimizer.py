@@ -167,7 +167,15 @@ def _require(problems: List[str]) -> None:
 def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> Tuple[np.ndarray, bool]:
     """Trust-region step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
     _require(_positive("epsilon", epsilon))
-    return _step(G, grad, lambda g, d: -np.sqrt(2.0 * epsilon / np.vecdot(g, d))[..., None] * d)
+
+    def move(g, d):
+        with np.errstate(over="ignore"):  # finite entries may multiply past the float range
+            form = np.vecdot(g, d)
+        if not np.isfinite(form).all():
+            raise NumericalError("trust-region form grad^T G^-1 grad is not finite")
+        return -np.sqrt(2.0 * epsilon / form)[..., None] * d
+
+    return _step(G, grad, move)
 
 
 def step_lr(G: np.ndarray, grad: np.ndarray, eta: float) -> Tuple[np.ndarray, bool]:

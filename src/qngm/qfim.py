@@ -91,7 +91,8 @@ def metric(
         p = np.where(small, 1.0, p)  # a placeholder: weights touching the kernel are set below
     ratios = p[..., :, None] / p[..., None, :]
     values = petz.evaluate(f, ratios)
-    if not (values.min() > 0.0 and values.max() < np.inf):  # nan fails too
+    # nan fails too; an empty stack passes
+    if not (values.min(initial=np.inf) > 0.0 and values.max(initial=0.0) < np.inf):
         bad = ~((0.0 < values) & (values < np.inf))
         raise NumericalError(
             f"Petz value f(t) = {values[bad][0]:.3e} at eigenvalue ratio t = {ratios[bad][0]:.3e} "

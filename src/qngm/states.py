@@ -57,9 +57,9 @@ def check_density(rho: np.ndarray) -> HermitianEig:
         raise NumericalError("density operator is not Hermitian") from None
     trace = np.trace(rho, axis1=-2, axis2=-1)
     off = np.maximum(np.abs(trace.real - 1.0), np.abs(trace.imag))
-    if off.max() > DENSITY_TOL:
+    if off.max(initial=0.0) > DENSITY_TOL:
         raise NumericalError(f"density operator has trace {trace.flat[off.argmax()]}")
-    if eig.values[..., 0].min() < -DENSITY_TOL:
+    if eig.values[..., 0].min(initial=np.inf) < -DENSITY_TOL:
         raise NumericalError("density operator has a negative eigenvalue")
     return eig
 
@@ -270,6 +270,17 @@ def regularize_state(rho: np.ndarray, delta: float) -> np.ndarray:
 
 
 def linear_family(rho: np.ndarray, tangents: Sequence[np.ndarray]):
-    """theta |-> rho + sum_k theta_k X_k; the canonical family with fixed m-reps."""
-    tangents = np.asarray(tangents, dtype=complex)
-    return lambda theta: rho + np.tensordot(np.asarray(theta, dtype=float), tangents, axes=1)
+    """theta |-> rho + sum_k theta_k X_k; the canonical family with fixed m-reps.
+
+    theta may be a (..., K) stack.  Each member is its own (1, K) @ (K, d^2)
+    product, so it has the bits of a single call; one (N, K) product would
+    sum over k in another order.
+    """
+    flat = np.asarray(tangents, dtype=complex).reshape(len(tangents), np.size(rho))
+
+    def family(theta):
+        theta = np.asarray(theta, dtype=float)
+        step = (theta[..., None, :] @ flat)[..., 0, :]
+        return rho + step.reshape(*theta.shape[:-1], *np.shape(rho))
+
+    return family

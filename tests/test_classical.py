@@ -1,5 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qngm import classical, divergence
 from qngm.errors import DegenerateSupportError, ShapeMismatchError
@@ -80,3 +84,47 @@ def test_errors():
         classical.check_distribution([0.5, 0.4])
     with pytest.raises(ShapeMismatchError):
         classical.kl([0.5, 0.5], [0.2, 0.3, 0.5])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.sampled_from(((1,), (5,), (2, 3))),
+    st.integers(0, 2**32 - 1),
+    st.one_of(
+        st.sampled_from((1.0, 1.0 + 1e-9, 0.5, 2.0, -1.0)),
+        st.floats(-3.0, 3.0).filter(lambda a: abs(a) > 0.05),
+    ),
+)
+def test_a_stack_gives_each_member_the_bits_of_its_single_call(n, shape, seed, alpha):
+    rng = np.random.default_rng(seed)
+    q = 0.9 * rng.dirichlet(np.ones(n)) + 0.1 / n
+    free = (0.9 * rng.dirichlet(np.ones(n), size=shape) + 0.1 / n)[..., :-1]
+    rows = free.reshape(-1, n - 1)
+    p = classical.probs_from_free(free)
+    assert p.shape == (*shape, n)
+    singles = [classical.probs_from_free(row) for row in rows]
+    assert p.tobytes() == np.array(singles).tobytes()
+    assert classical.free_from_probs(p).tobytes() == free.tobytes()
+    fisher = classical.fisher(p)
+    assert fisher.tobytes() == np.array([classical.fisher(m) for m in singles]).tobytes()
+    for div in (classical.kl, partial(classical.renyi, alpha=alpha)):
+        values = div(p, q)
+        members = [div(m, q) for m in singles]
+        assert all(type(value) is float for value in members)
+        assert values.shape == shape
+        assert values.tobytes() == np.array(members).reshape(shape).tobytes()
+
+
+def test_a_stack_is_checked_member_by_member():
+    q = np.array([0.5, 0.5])
+    with pytest.raises(DegenerateSupportError, match="sum to"):
+        classical.check_distribution([[0.5, 0.5], [0.5, 0.4]])
+    with pytest.raises(DegenerateSupportError):
+        classical.kl([[0.5, 0.5], [1.0, 0.0]], q)
+    with pytest.raises(DegenerateSupportError):
+        classical.probs_from_free([[0.3], [1.2]])
+    with pytest.raises(ShapeMismatchError):
+        classical.renyi(q, np.stack([q, q]), 0.5)  # the anchor is one distribution
+    with pytest.raises(ShapeMismatchError):
+        classical.kl([[0.2, 0.3, 0.5]], q)

@@ -585,3 +585,25 @@ def test_a_non_finite_metric_or_gradient_norm_is_a_numerical_error(
     prefix = "numerical error: NumericalError: run aborted after 0 records: NumericalError: "
     assert err.startswith(prefix + reason) and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_an_overflowing_trust_region_form_is_a_numerical_error(tmp_path, capsys):
+    # |grad| ~ 1e154 is finite, but grad^T G^-1 grad overflows: every step would be 0
+    out = tmp_path / "run.csv"
+    argv = ["run", "--experiment", "three-qubit-heisenberg", "--coupling", "1e154"]
+    assert cli.main([*argv, "--rule", "trust", "--steps", "3", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    prefix = "numerical error: NumericalError: run aborted after 1 records: NumericalError: "
+    assert err == prefix + "trust-region form grad^T G^-1 grad is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--omega", "--coupling"])
+def test_a_hamiltonian_that_is_not_finite_is_a_config_error(tmp_path, capsys, flag):
+    out = tmp_path / "run.csv"
+    argv = ["run", "--experiment", "three-qubit-heisenberg", flag, "1e308", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: omega = ") and "a Hamiltonian that is not finite" in err
+    assert f"{flag[2:]} = 1e+308" in err and err.count("\n") == 1
+    assert not out.exists()

@@ -2,6 +2,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qngm import classical, divergence, petz, qfim, states
 from qngm.errors import RankDeficientError, ShapeMismatchError, ValidationError
@@ -163,5 +165,128 @@ def test_paired_divergence_needs_a_renyi_index():
 def test_fd_hessian_quadratic_exact():
     # on an exactly quadratic divergence the stencil recovers the Hessian
     H = np.array([[2.0, 0.5], [0.5, 1.0]])
-    div = lambda t: 0.5 * float(t @ H @ t)
+    div = lambda t: 0.5 * np.sum((t @ H) * t, axis=-1)
     np.testing.assert_allclose(divergence.fd_hessian(div, np.zeros(2), h=1e-3), H, atol=1e-9)
+
+
+def test_fd_hessian_calls_div_once_on_the_whole_stencil():
+    shapes = []
+
+    def div(points):
+        shapes.append(points.shape)
+        return np.zeros(len(points))
+
+    divergence.fd_hessian(div, np.zeros(3))
+    assert shapes == [(2 * 3 + 3 * 4, 3)]
+
+
+@pytest.mark.parametrize(
+    "div",
+    [
+        lambda t: 0.0,  # a callable of one point, summing the stencil away
+        lambda t: np.zeros(len(t) - 1),
+        lambda t: np.zeros((len(t), 1)),
+        lambda t: np.zeros((1, len(t))),
+    ],
+)
+def test_fd_hessian_refuses_a_result_of_the_wrong_shape(div):
+    with pytest.raises(ValidationError, match=r"for 10 stencil points, expected \(10,\)"):
+        divergence.fd_hessian(div, np.zeros(2))
+
+
+def _loop_fd_hessian(div, theta, h):
+    """The per-point stencil loop: the reference that ``fd_hessian`` must match bit for bit."""
+    n = theta.size
+    single = np.empty((n, 2))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        single[i, 0] = div(theta + e)
+        single[i, 1] = div(theta - e)
+    hess = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros(n)
+            e[i] += h
+            e[j] += h
+            pair = div(theta + e) + div(theta - e)
+            hess[i, j] = hess[j, i] = (
+                pair - single[i, 0] - single[i, 1] - single[j, 0] - single[j, 1]
+            ) / (2.0 * h * h)
+    return 0.5 * (hess + hess.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from((2, 4)),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(("sld", "bkm", "rrld", "sw:0.3", "sw:-1", "st:0.5", "st:2")),
+    st.sampled_from((1e-4, 1e-3, 1e-2)),
+)
+def test_fd_hessian_is_the_per_point_loop(dim, n, seed, spec, h):
+    rng = np.random.default_rng(seed)
+    rho = qfim.random_density(rng, dim, floor=0.2)
+    family = states.linear_family(rho, [qfim.random_tangent(rng, dim) for _ in range(n)])
+    div = divergence.paired_divergence(petz.parse(spec))
+    theta = rng.uniform(-0.01, 0.01, size=n)
+    anchor = family(theta)
+    stacked = divergence.fd_hessian(lambda u: div(family(u), anchor), theta, h)
+    loop = _loop_fd_hessian(lambda u: div(family(u), anchor), theta, h)
+    assert stacked.tobytes() == loop.tobytes()
+
+
+def _stacked_divergences(alpha):
+    return {
+        "quantum_kl": divergence.quantum_kl,
+        "standard_renyi": partial(divergence.standard_renyi, alpha=alpha),
+        "sandwiched_renyi": partial(divergence.sandwiched_renyi, alpha=alpha),
+        "f_divergence": partial(divergence.f_divergence, F=divergence.alpha_divergence_F(alpha)),
+        "fidelity": divergence.fidelity,
+        "bures_angle": divergence.bures_angle,
+        "bures_distance": divergence.bures_distance,
+    }
+
+
+ALPHAS = st.one_of(
+    st.sampled_from((1.0, 1.0 + 1e-9, 0.5, 2.0, -1.0)),
+    st.floats(-3.0, 3.0).filter(lambda a: abs(a) > 0.05),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((2, 4)),
+    st.sampled_from(((1,), (5,), (2, 3))),
+    st.integers(0, 2**32 - 1),
+    ALPHAS,
+)
+def test_a_stack_gives_each_member_the_bits_of_its_single_call(dim, shape, seed, alpha):
+    rng = np.random.default_rng(seed)
+    rho = random_state(rng, dim)
+    # the anchor itself, states near it as on a stencil, and unrelated states
+    tangents = [qfim.random_tangent(rng, dim) for _ in range(2)]
+    near = states.linear_family(rho, tangents)(rng.uniform(-2e-3, 2e-3, size=(*shape, 2)))
+    far = qfim._density(qfim._complex(rng.normal(size=(*shape, 2, dim, dim))), 0.05)
+    for stack in (near, far, np.broadcast_to(rho, (*shape, dim, dim))):
+        members = stack.reshape(-1, dim, dim)
+        for name, div in _stacked_divergences(alpha).items():
+            values = div(stack, rho)
+            singles = [div(member, rho) for member in members]
+            assert all(type(value) is float for value in singles), name
+            assert values.shape == shape, name
+            assert values.tobytes() == np.array(singles).reshape(shape).tobytes(), name
+
+
+def test_the_anchor_is_one_state_and_every_member_is_checked():
+    rng = np.random.default_rng(8)
+    rho = random_state(rng, 2)
+    pure = states.bloch_state(0.0, 0.0, 1.0)
+    for div in _stacked_divergences(0.5).values():
+        with pytest.raises(ShapeMismatchError):
+            div(rho, np.stack([rho, rho]))
+        with pytest.raises(ShapeMismatchError):
+            div(np.stack([rho, rho]), random_state(rng, 4))
+    for name in ("quantum_kl", "standard_renyi", "sandwiched_renyi", "f_divergence"):
+        with pytest.raises(RankDeficientError):
+            _stacked_divergences(0.5)[name](np.stack([rho, pure]), rho)

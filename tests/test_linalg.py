@@ -77,6 +77,14 @@ def test_solve_sym_rejects_an_infinite_matrix():
         linalg.hermitian_eig(g)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_an_empty_stack_gives_empty_results(dim):
+    values, vectors = linalg.hermitian_eig(np.zeros((0, dim, dim), dtype=complex))
+    assert values.shape == (0, dim) and vectors.shape == (0, dim, dim)
+    x = linalg.solve_sym(np.zeros((0, dim, dim)), np.zeros((0, dim)))
+    assert x.shape == (0, dim) and x.dtype == np.float64
+
+
 def test_solve_sym_rejects_a_nan_matrix():
     g = np.full((2, 2), np.nan)
     with pytest.raises(NotHermitianError):

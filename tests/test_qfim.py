@@ -53,19 +53,26 @@ def test_metric_matches_divergence_hessian():
 
 
 def _support_power(m, c, rank):
-    """m^c for c > 0 on the top-``rank`` eigenspace of m, with 0^c = 0 on the rest."""
+    """m^c for c > 0 on the top-``rank`` eigenspace of m, with 0^c = 0 on the rest.
+
+    m may be a stack, whose members are taken one by one.
+    """
     w, v = np.linalg.eigh(m)
-    w[:-rank] = 0.0
-    return (v * w**c) @ v.conj().T
+    w[..., :-rank] = 0.0
+    return (v * w[..., None, :] ** c) @ v.conj().swapaxes(-1, -2)
 
 
 def _support_renyi(family, rho_bar, rho, a, rank):
-    """The rescaled Renyi divergence of ``divergence`` for two states of the given rank."""
+    """The rescaled Renyi divergence of ``divergence`` for two states of the given rank.
+
+    rho_bar may be a stack, which gives one value per member.
+    """
     if family == "sandwiched":  # the core's spectrum from singular values, as the library does
         core = _support_power(rho, (1.0 - a) / (2.0 * a), rank) @ _support_power(rho_bar, 0.5, rank)
-        tr = np.sum(np.linalg.svd(core, compute_uv=False)[:rank] ** (2.0 * a))
+        tr = np.sum(np.linalg.svd(core, compute_uv=False)[..., :rank] ** (2.0 * a), axis=-1)
     else:
-        tr = np.trace(_support_power(rho_bar, a, rank) @ _support_power(rho, 1.0 - a, rank)).real
+        product = _support_power(rho_bar, a, rank) @ _support_power(rho, 1.0 - a, rank)
+        tr = np.trace(product, axis1=-2, axis2=-1).real
     return np.log(tr) / (a * (a - 1.0))
 
 
@@ -85,10 +92,10 @@ def test_rank_deficient_metric_is_the_renyi_hessian(dim, seed, a, data):
     hs = [qfim.random_tangent(rng, dim) for _ in range(2)]
     tangents = [-1j * (h @ rho - rho @ h) for h in hs]
 
-    def orbit(theta):  # e^{-iH} rho e^{iH} with H = theta_1 H_1 + theta_2 H_2
-        w, v = np.linalg.eigh(theta[0] * hs[0] + theta[1] * hs[1])
-        unitary = (v * np.exp(-1j * w)) @ v.conj().T
-        return unitary @ rho @ unitary.conj().T
+    def orbit(theta):  # e^{-iH} rho e^{iH} with H = theta_1 H_1 + theta_2 H_2, for a stack of theta
+        w, v = np.linalg.eigh(np.tensordot(theta, hs, axes=1))
+        unitary = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return unitary @ rho @ unitary.conj().swapaxes(-1, -2)
 
     for f, family in ((petz.sandwiched(a), "sandwiched"), (petz.standard(a), "standard")):
         g = qfim.metric(rho, tangents, f)
@@ -435,6 +442,13 @@ def test_metric_of_no_tangents_is_empty():
         for tangents in ([], np.zeros((0, dim, dim), dtype=complex)):
             g = qfim.metric(rho, tangents, petz.SLD)
             assert g.shape == (0, 0) and g.dtype == np.float64
+
+
+@pytest.mark.parametrize("f", [petz.SLD, petz.sandwiched(0.3), []])
+@pytest.mark.parametrize("dim, k", [(2, 1), (4, 3), (3, 0)])
+def test_metric_of_an_empty_stack_is_empty(f, dim, k):
+    g = qfim.metric(np.zeros((0, dim, dim), dtype=complex), np.zeros((0, k, dim, dim)), f)
+    assert g.shape == (0, k, k) and g.dtype == np.float64
 
 
 def test_metric_rejects_a_bad_tangent_shape():
