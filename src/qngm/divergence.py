@@ -15,7 +15,13 @@ from typing import Callable
 import numpy as np
 
 from . import petz, states
-from .errors import NumericalError, RankDeficientError, ShapeMismatchError, ValidationError
+from .errors import (
+    DomainError,
+    NumericalError,
+    RankDeficientError,
+    ShapeMismatchError,
+    ValidationError,
+)
 from .linalg import _dagger, _float_or_stack
 
 RANK_EPS = 1e-12
@@ -120,7 +126,12 @@ def alpha_divergence_F(alpha: float) -> Callable:
     """Scalar kernel of the standard quantum alpha-divergence.
 
     4 / (1 - a^2) (1 - t^((1+a)/2)) for a != +-1; t ln t at a = 1; -ln t at -1.
+    Raises DomainError unless a^2 is finite: a nan, an inf, or |a| past
+    about 1.3e154.
     """
+    alpha = float(alpha)
+    if not np.isfinite(alpha * alpha):  # a float product overflows to inf, unlike alpha**2
+        raise DomainError(f"alpha-divergence index alpha = {alpha} must have a finite square")
     if alpha == 1.0:
         return lambda t: t * np.log(t)
     if alpha == -1.0:
@@ -152,7 +163,8 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray):
     states.check_density(sigma)
     root = _spectral(v, np.sqrt(np.clip(w, 0.0, None)))
     lam = np.linalg.eigvalsh(root @ sigma @ root)
-    value = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1) ** 2
+    root_sum = np.sum(np.sqrt(np.clip(lam, 0.0, None)), axis=-1)
+    value = root_sum * root_sum  # a float64 scalar's ** 2 can differ from an array's by an ulp
     return _float_or_stack(np.clip(value, 0.0, 1.0))
 
 

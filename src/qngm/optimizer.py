@@ -9,9 +9,11 @@ Per step the state is delta-regularized before the metric is assembled
 (derivatives scale by 1 - delta, exactly) and the metric is xi-regularized
 after assembly.  Cost and gradient are those of the bare circuit state.
 
-Every step function takes one member or a stack of N along a leading axis,
-and a stack gives each member the bits of its single call; ``run`` steps N
-Petz functions in lockstep as one stack.
+Each step rule is its formula over one ``solve_sym`` call and returns
+dtheta.  Every step function takes one member or a stack of N along a
+leading axis, and a stack gives each member the bits of its single call;
+``run`` steps N Petz functions in lockstep as one stack, and alone decides
+when a member has converged.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ import numpy as np
 
 from . import petz, qfim, states
 from .errors import NumericalError, QngmError, ShapeMismatchError, ValidationError
-from .linalg import HERMITIAN_TOL, _identity, condition_number, solve_sym
+from .linalg import HERMITIAN_TOL, condition_number, solve_sym
 
-GRAD_ZERO = 1e-10
+GRAD_ZERO = 1e-10  # run stops a member whose |grad| is below this, whatever grad_tol is
 RULES = ("trust", "lr")
 
 
@@ -115,21 +117,6 @@ def _norm(grad: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(grad, grad))
 
 
-def _step(G: np.ndarray, grad: np.ndarray, move):
-    """(dtheta, converged) for one member or a stack.
-
-    A member with |grad| < GRAD_ZERO has converged and gets a zero step; the
-    others get move(grad, G^{-1} grad).  A converged member enters the solve
-    as G = I and grad = 1, so its own metric never reaches the solve.
-    """
-    G, grad = np.asarray(G, dtype=float), np.ascontiguousarray(grad, dtype=float)
-    converged = _norm(grad) < GRAD_ZERO
-    done = converged[..., None]
-    g = np.where(done, 1.0, grad)
-    dtheta = move(g, solve_sym(np.where(done[..., None], _identity(G.shape[-1]), G), g))
-    return np.where(done, 0.0, dtheta), converged
-
-
 def _positive(name: str, value: float) -> List[str]:
     """[] if value is positive and finite, else the one problem; nan is a problem too."""
     return [] if 0.0 < value < np.inf else [f"{name} = {value} must be positive and finite"]
@@ -164,24 +151,28 @@ def _require(problems: List[str]) -> None:
         raise ValidationError("; ".join(problems))
 
 
-def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> Tuple[np.ndarray, bool]:
-    """Trust-region step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
+def step_trust(G: np.ndarray, grad: np.ndarray, epsilon: float) -> np.ndarray:
+    """Trust-region step dtheta, or its (N, K) stack.
+
+    A zero gradient has no such step: its form grad^T G^-1 grad is 0, and
+    like a form that is not finite it raises NumericalError.
+    """
     _require(_positive("epsilon", epsilon))
+    d = solve_sym(G, grad)
+    grad = np.ascontiguousarray(grad, dtype=float)  # a strided row dots in another order
+    with np.errstate(over="ignore"):  # finite entries may multiply past the float range
+        form = np.vecdot(grad, d)
+    if not np.isfinite(form).all():
+        raise NumericalError("trust-region form grad^T G^-1 grad is not finite")
+    if not (form > 0.0).all():
+        raise NumericalError("trust-region form grad^T G^-1 grad is not positive")
+    return -np.sqrt(2.0 * epsilon / form)[..., None] * d
 
-    def move(g, d):
-        with np.errstate(over="ignore"):  # finite entries may multiply past the float range
-            form = np.vecdot(g, d)
-        if not np.isfinite(form).all():
-            raise NumericalError("trust-region form grad^T G^-1 grad is not finite")
-        return -np.sqrt(2.0 * epsilon / form)[..., None] * d
 
-    return _step(G, grad, move)
-
-
-def step_lr(G: np.ndarray, grad: np.ndarray, eta: float) -> Tuple[np.ndarray, bool]:
-    """Fixed learning-rate step; returns (dtheta, converged), or their (N, K) and (N,) stacks."""
+def step_lr(G: np.ndarray, grad: np.ndarray, eta: float) -> np.ndarray:
+    """Fixed learning-rate step dtheta, or its (N, K) stack."""
     _require(_positive("eta", eta))
-    return _step(G, grad, lambda g, d: -eta * d)
+    return -eta * solve_sym(G, grad)
 
 
 @dataclass(frozen=True)
@@ -254,8 +245,9 @@ def run(
     is one call on the stack: it moves the members from their last record
     and measures them at the new theta, and if either part fails, the call
     is replayed member by member.  A member leaves the stack after a record
-    whose |grad| is below ``grad_tol`` or GRAD_ZERO (where its step would
-    be zero), or when it aborts.  Any package error aborts a member's run
+    whose |grad| is below ``grad_tol`` or GRAD_ZERO, or when it aborts;
+    that test is the only convergence rule, so a step is never taken from
+    a zero gradient.  Any package error aborts a member's run
     and is reported on its trajectory's ``error`` tag together with the
     records accumulated so far.  Bad options, and a cost that is neither a
     StateDistance nor an Observable, raise ValidationError before any
@@ -277,7 +269,7 @@ def run(
         """Move the rows by the rule from their last G and grad, then measure them there."""
         th = theta[rows]
         if step:  # step 0 measures theta0
-            th = th + move(G[rows], grad[rows], size)[0]
+            th = th + move(G[rows], grad[rows], size)
         if not np.isfinite(th).all():
             raise NumericalError(f"non-finite theta at step {step}")
         rho = states.evaluate(state, th)

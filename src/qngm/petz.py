@@ -117,10 +117,28 @@ def _eval_sw(alpha, t, u):
 
 def _eval_st(alpha, t, u):
     # denominator 1 + t - t^(1-a) - t^a factors as (1 - t^a)(1 - t^(1-a))
-    num = alpha * (1.0 - alpha) * np.expm1(u) ** 2
     with np.errstate(over="ignore", invalid="ignore"):
+        num = alpha * (1.0 - alpha) * np.expm1(u) ** 2
         den = np.expm1(alpha * u) * np.expm1((1.0 - alpha) * u)
-    return num / den
+        out = num / den
+        far = ~np.isfinite(out)
+        if far.any():  # a factor passed the float range: take the value from logs
+            out[far] = _st_from_logs(np.broadcast_to(alpha, out.shape)[far], u[far])
+    return out
+
+
+def _st_from_logs(alpha, u):
+    """_eval_st's value as exp(log|a(1-a)| + 2 L(u) - L(a u) - L((1-a) u)).
+
+    L(x) = log|e^x - 1| = max(x, 0) + log(1 - e^-|x|).  The max(x, 0)
+    parts are gathered as one slope times u, so their sum does not cancel;
+    f > 0 for every a, so the factors' signs cancel.
+    """
+    xs = (u, alpha * u, (1.0 - alpha) * u)
+    slope = 2.0 * (xs[0] > 0) - alpha * (xs[1] > 0) - (1.0 - alpha) * (xs[2] > 0)
+    rest = [np.log(-np.expm1(-np.abs(x))) for x in xs]
+    scale = np.log(np.abs(alpha)) + np.log(np.abs(1.0 - alpha))
+    return np.exp(scale + slope * u + 2.0 * rest[0] - rest[1] - rest[2])
 
 
 def _eval_lin(fs, t, u):

@@ -167,11 +167,13 @@ def gate_generator(state: CircuitState, gate: Gate) -> np.ndarray:
 
 
 def _check_theta(state: CircuitState, theta: np.ndarray) -> np.ndarray:
-    """theta as a (N, K) stack; a (K,) theta is a stack of one."""
+    """theta as a (N, K) stack, if finite; a (K,) theta is a stack of one."""
     theta = np.asarray(theta, dtype=float)
     row = theta.shape[1:] if theta.ndim > 1 else theta.shape
     if row != (state.n_params,):
         raise ShapeMismatchError(f"theta shape {row}, expected ({state.n_params},)")
+    if not np.isfinite(theta).all():
+        raise NumericalError("theta is not finite")
     return theta if theta.ndim > 1 else theta[None]
 
 

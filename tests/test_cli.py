@@ -1,7 +1,10 @@
+import contextlib
 import functools
+import io
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -607,3 +610,43 @@ def test_a_hamiltonian_that_is_not_finite_is_a_config_error(tmp_path, capsys, fl
     assert err.startswith("config error: omega = ") and "a Hamiltonian that is not finite" in err
     assert f"{flag[2:]} = 1e+308" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+FUZZ_FLAGS = [
+    "--epsilon", "--eta", "--delta", "--xi", "--rank-tol", "--grad-tol", "--omega", "--coupling"
+]
+FUZZ_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e154", "1e300"]
+FUZZ_METRICS = ["st:1e6", "st:300", "sw:1e-300", "sw:1e300", "lin:1e-300:sld:bkm"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    experiment=st.sampled_from(["single-qubit", "two-qubit", "three-qubit-heisenberg"]),
+    rule=st.sampled_from(["lr", "trust"]),
+    extras=st.one_of(
+        st.lists(
+            st.tuples(st.sampled_from(FUZZ_FLAGS), st.sampled_from(FUZZ_VALUES)),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda pair: pair[0],
+        ),
+        st.sampled_from(FUZZ_METRICS).map(lambda spec: [("--metric", spec)]),
+    ),
+)
+@example(experiment="three-qubit-heisenberg", rule="trust", extras=[("--coupling", "1e154")])
+@example(experiment="single-qubit", rule="lr", extras=[("--metric", "st:1e6")])
+def test_an_edge_value_exits_cleanly_with_finite_rows(tmp_path_factory, experiment, rule, extras):
+    out = tmp_path_factory.mktemp("fuzz") / "run.csv"
+    argv = ["run", "--experiment", experiment, "--rule", rule, "--steps", "3", "--out", str(out)]
+    argv += [token for pair in extras for token in pair]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    assert [str(w.message) for w in caught] == []
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    if code == cli.EXIT_OK:
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+    else:
+        assert not out.exists()

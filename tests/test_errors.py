@@ -1,10 +1,16 @@
-"""Every exception the package raises is one of its own error classes."""
+"""Every exception the package raises is one of its own error classes, and
+extreme inputs give a package error or finite values, never a warning."""
 
 import ast
 import pathlib
+import warnings
+
+import numpy as np
+import pytest
 
 import qngm
-from qngm import errors
+from qngm import cli, divergence, errors, optimizer, petz, states
+from qngm.errors import DomainError, NumericalError, QngmError
 
 SOURCE = pathlib.Path(qngm.__file__).parent
 # a module's __getattr__ must raise AttributeError for a missing name
@@ -30,3 +36,85 @@ def test_every_raise_is_a_package_error():
     assert len(found) > 50  # the walk reached the package's raises
     stray = [(f, n, name) for f, n, name in found if name not in own and (f, name) not in EXEMPT]
     assert stray == []
+
+
+def _circuit():
+    return cli.build_experiment(cli.ExperimentConfig(experiment="single-qubit"))[0]
+
+
+def _st_over_the_float_range(alpha):
+    """f over t in [1e-300, 1e300], checked against t f(1/t) where f(t) and f(1/t) are normal."""
+    t = np.logspace(-300, 300, 1201)
+    f = petz.standard(alpha)
+    value, mirror = petz.evaluate(f, t), petz.evaluate(f, 1.0 / t)
+    tiny = np.finfo(float).tiny
+    normal = (tiny <= value) & (value < np.inf) & (tiny <= mirror) & (mirror < np.inf)
+    assert normal.sum() > 300  # the comparison is not vacuous
+    np.testing.assert_allclose(value[normal], t[normal] * mirror[normal], rtol=1e-12, atol=0.0)
+    return value
+
+
+def _steps_1e300_lr():
+    dtheta = optimizer.step_lr(np.eye(2), np.array([1e300, 1.0]), 1e-3)
+    assert dtheta.tolist() == [-1e297, -1e-3]
+    return dtheta
+
+
+THETA_BAD = ([np.inf, 0.0, 0.0], [0.0, np.nan, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+
+# (call, the QngmError it raises or None for finite values)
+EXTREMES = [
+    pytest.param(_steps_1e300_lr, None, id="step_lr-1e300"),
+    pytest.param(
+        lambda: optimizer.step_trust(np.eye(2), np.array([1e300, 1.0]), 1e-6),
+        NumericalError,
+        id="step_trust-1e300",
+    ),
+    pytest.param(
+        lambda: optimizer.step_trust(np.eye(2)[None], np.array([[1.0, 1e300]]), 1e-6),
+        NumericalError,
+        id="step_trust-stack-1e300",
+    ),
+    pytest.param(
+        lambda: optimizer.step_trust(np.eye(2), np.zeros(2), 1e-6),
+        NumericalError,
+        id="step_trust-0",
+    ),
+    *[
+        pytest.param(
+            lambda fn=fn, theta=theta: fn(_circuit(), np.array(theta)),
+            NumericalError,
+            id=f"{fn.__name__}-{i}",
+        )
+        for fn in (states.evaluate, states.derivatives, states.gate_unitary)
+        for i, theta in enumerate(THETA_BAD)
+    ],
+    *[
+        pytest.param(lambda a=a: _st_over_the_float_range(a), None, id=f"st:{a:g}")
+        for a in (0.5, 2.0, -1.0, 3.0)
+    ],
+    *[
+        pytest.param(
+            lambda a=a: divergence.alpha_divergence_F(a)(petz.default_grid()),
+            DomainError,
+            id=f"alpha_divergence_F-{a:g}",
+        )
+        for a in (1e200, -1e200, np.nan, np.inf, -np.inf)
+    ],
+    pytest.param(
+        lambda: divergence.f_divergence_consistency(1e200), DomainError, id="f_divergence-1e200"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error", EXTREMES)
+def test_an_extreme_input_gives_a_package_error_or_finite_values(call, error):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except QngmError as exc:
+            assert type(exc) is error
+        else:
+            assert error is None and np.isfinite(result).all()
+    assert [str(w.message) for w in caught] == []

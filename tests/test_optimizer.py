@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -53,8 +55,7 @@ def test_gradient_matches_finite_differences():
 
 def test_step_trust_identity_metric():
     g = np.array([3.0, 4.0])
-    dtheta, converged = optimizer.step_trust(np.eye(2), g, 1e-6)
-    assert not converged
+    dtheta = optimizer.step_trust(np.eye(2), g, 1e-6)
     np.testing.assert_allclose(dtheta, -np.sqrt(2e-6) * g / np.linalg.norm(g))
 
 
@@ -65,18 +66,23 @@ def test_step_trust_constraint_saturation():
         a = rng.normal(size=(4, 4))
         G = a @ a.T + 0.5 * np.eye(4)
         grad = rng.normal(size=4)
-        dtheta, _ = optimizer.step_trust(G, grad, eps)
+        dtheta = optimizer.step_trust(G, grad, eps)
         assert float(dtheta @ G @ dtheta) == pytest.approx(2 * eps, rel=1e-8)
         # scaling the metric by c scales the step by 1/sqrt(c), same direction
-        dthetac, _ = optimizer.step_trust(4.0 * G, grad, eps)
+        dthetac = optimizer.step_trust(4.0 * G, grad, eps)
         np.testing.assert_allclose(dthetac, 0.5 * dtheta, rtol=1e-10)
 
 
 def test_step_zero_gradient_converges():
-    dtheta, converged = optimizer.step_trust(np.eye(2), np.zeros(2), 1e-6)
-    assert converged and np.all(dtheta == 0)
-    dtheta, converged = optimizer.step_lr(np.eye(2), np.zeros(2), 1e-3)
-    assert converged and np.all(dtheta == 0)
+    # run stops a member below GRAD_ZERO before any step; called anyway, the
+    # lr step of a zero gradient is zero and the trust step does not exist
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not optimizer.step_lr(np.eye(2), np.zeros(2), 1e-3).any()
+        with pytest.raises(NumericalError, match="grad\\^T G\\^-1 grad is not positive"):
+            optimizer.step_trust(np.eye(2), np.zeros(2), 1e-6)
+        with pytest.raises(NumericalError, match="not positive"):
+            optimizer.step_trust(np.eye(2)[None], np.array([[0.0, 0.0]]), 1e-6)
 
 
 @pytest.mark.parametrize("size", [0.0, -1.0, np.nan, np.inf])
@@ -89,7 +95,7 @@ def test_bad_step_size_is_a_validation_error(size):
 
 def test_step_lr_is_plain_gd_for_identity():
     g = np.array([1.0, -2.0])
-    dtheta, _ = optimizer.step_lr(np.eye(2), g, 0.1)
+    dtheta = optimizer.step_lr(np.eye(2), g, 0.1)
     np.testing.assert_allclose(dtheta, -0.1 * g)
 
 
@@ -102,7 +108,7 @@ def test_lr_first_order_decrease():
     predicted_rate = -float(grad @ solve_sym(G, grad))
     errs = []
     for eta in (1e-3, 5e-4):
-        dtheta, _ = optimizer.step_lr(G, grad, eta)
+        dtheta = optimizer.step_lr(G, grad, eta)
         actual, _ = cost_and_gradient(cost, circuit, theta0 + dtheta)
         errs.append(abs((actual - value) - eta * predicted_rate))
     # halving eta shrinks the first-order mismatch roughly fourfold
@@ -200,7 +206,7 @@ def test_non_finite_theta_aborts_naming_the_step(monkeypatch):
         assert traj.error == "NumericalError: non-finite theta at step 0"
     # a step that lands on a non-finite theta is caught before the next record
     def step_to_inf(G, grad, eta):
-        return np.full_like(grad, np.inf), None
+        return np.full_like(grad, np.inf)
 
     monkeypatch.setattr(optimizer, "step_lr", step_to_inf)
     traj = optimizer.run(circuit, cost, petz.SLD, theta0, rule="lr", max_steps=5)
@@ -380,15 +386,12 @@ def reference_run(circuit, cost, f, theta0, rule, eta=1e-3, epsilon=1e-6, delta=
             grad_norm = float(np.linalg.norm(grad))
             cond = condition_number(G)
             traj.records.append(optimizer.TrajectoryRecord(step, theta.copy(), value, grad_norm, cond))
-            if step == max_steps or grad_norm < grad_tol:
+            if step == max_steps or grad_norm < grad_tol or grad_norm < optimizer.GRAD_ZERO:
                 break
             if rule == "trust":
-                dtheta, converged = optimizer.step_trust(G, grad, epsilon)
+                theta = theta + optimizer.step_trust(G, grad, epsilon)
             else:
-                dtheta, converged = optimizer.step_lr(G, grad, eta)
-            if converged:
-                break
-            theta = theta + dtheta
+                theta = theta + optimizer.step_lr(G, grad, eta)
     except QngmError as exc:
         traj.error = f"{type(exc).__name__}: {exc}"
     return traj
@@ -443,7 +446,7 @@ def test_a_member_with_a_vanishing_gradient_leaves_the_stack():
     # a zero grad_tol stops no member, so GRAD_ZERO alone decides
     options = dict(rule="lr", eta=0.2, max_steps=80, grad_tol=0.0)
     stacked = optimizer.run(circuit, cost, fs, theta0, **options)
-    # the fast member's |grad| falls below GRAD_ZERO, where its step would report convergence
+    # the fast member's |grad| falls below GRAD_ZERO, and run stops it after that record
     assert len(stacked[0].records) == 81 and len(stacked[1].records) < 81
     assert stacked[1].records[-1].grad_norm < optimizer.GRAD_ZERO
     for f, traj in zip(fs, stacked):
@@ -509,21 +512,16 @@ def test_stacked_cost_and_steps_are_single_calls(name):
     assert value.shape == (4,) and grad.shape == theta.shape
     a = rng.normal(size=(4, theta0.size, theta0.size))
     G = a @ a.swapaxes(-1, -2) + np.eye(theta0.size)
-    grad[2] = 0.0  # a converged member among moving ones
-    G[2] = 0.0  # whose singular metric the step never solves with
+    for n in range(4):
+        single_value, single_grad = optimizer.cost_and_gradient(cost, rho[n], derivs[n])
+        assert single_value == value[n] and single_grad.tobytes() == grad[n].tobytes()
     for step, option in ((optimizer.step_lr, 1e-3), (optimizer.step_trust, 1e-6)):
         with np.errstate(divide="raise", invalid="raise", over="raise"):
-            dtheta, converged = step(G, grad, option)
-        assert converged.tolist() == [False, False, True, False]
+            dtheta = step(G, grad, option)
+        assert dtheta.shape == grad.shape and dtheta.any(axis=1).all()  # every member moves
         for n in range(4):
-            single_value, single_grad = optimizer.cost_and_gradient(cost, rho[n], derivs[n])
-            assert single_value == value[n]
-            if n != 2:
-                assert single_grad.tobytes() == grad[n].tobytes()
-            single_step, single_converged = step(G[n], grad[n], option)
-            assert single_step.tobytes() == dtheta[n].tobytes() and single_converged == converged[n]
-        assert not dtheta[2].any()
+            assert step(G[n], grad[n], option).tobytes() == dtheta[n].tobytes()
         # a strided gradient steps as its contiguous copy
         strided = np.empty((4, 2 * theta0.size))[:, ::2]
         strided[...] = grad
-        assert step(G, strided, option)[0].tobytes() == dtheta.tobytes()
+        assert step(G, strided, option).tobytes() == dtheta.tobytes()
