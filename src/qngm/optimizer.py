@@ -269,7 +269,9 @@ def run(
         """Move the rows by the rule from their last G and grad, then measure them there."""
         th = theta[rows]
         if step:  # step 0 measures theta0
-            th = th + move(G[rows], grad[rows], size)
+            # a step from finite G and grad may overflow; the check below refuses it
+            with np.errstate(over="ignore", invalid="ignore"):
+                th = th + move(G[rows], grad[rows], size)
         if not np.isfinite(th).all():
             raise NumericalError(f"non-finite theta at step {step}")
         rho = states.evaluate(state, th)

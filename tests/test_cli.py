@@ -635,6 +635,10 @@ FUZZ_METRICS = ["st:1e6", "st:300", "sw:1e-300", "sw:1e300", "lin:1e-300:sld:bkm
 )
 @example(experiment="three-qubit-heisenberg", rule="trust", extras=[("--coupling", "1e154")])
 @example(experiment="single-qubit", rule="lr", extras=[("--metric", "st:1e6")])
+@example(
+    experiment="three-qubit-heisenberg", rule="lr", extras=[("--eta", "1e154"), ("--coupling", "1e154")]
+)
+@example(experiment="single-qubit", rule="lr", extras=[("--xi", "0"), ("--grad-tol", "1e300")])
 def test_an_edge_value_exits_cleanly_with_finite_rows(tmp_path_factory, experiment, rule, extras):
     out = tmp_path_factory.mktemp("fuzz") / "run.csv"
     argv = ["run", "--experiment", experiment, "--rule", rule, "--steps", "3", "--out", str(out)]
@@ -646,7 +650,9 @@ def test_an_edge_value_exits_cleanly_with_finite_rows(tmp_path_factory, experime
     assert [str(w.message) for w in caught] == []
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
     if code == cli.EXIT_OK:
-        rows = out.read_text().splitlines()[1:]
-        assert rows and all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+        rows = np.array([row.split(",") for row in out.read_text().splitlines()[1:]], dtype=float)
+        assert len(rows) and np.isfinite(rows[:, :3]).all()
+        # metric_cond is inf where the metric is singular (xi = 0 at a stationary theta0)
+        assert (rows[:, 3] >= 1.0).all()
     else:
         assert not out.exists()
