@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSupportError, ShapeMismatchError
-from .linalg import _float_or_stack
+from .linalg import _float_or_stack, _log_sum_exp
 
 ALPHA_KL_CROSSOVER = 1e-6
 SUM_TOL = 1e-12
@@ -69,12 +69,19 @@ def renyi(p: np.ndarray, q: np.ndarray, alpha: float):
 
     p may be a (..., n) stack; q is one distribution, checked once.  Falls
     back to kl for |alpha - 1| below the crossover where the prefactor
-    amplifies rounding error.
+    amplifies rounding error.  Where a term passes the float range, so that
+    the sum is not positive and finite, the sum is taken in logs.
     """
     if abs(alpha - 1.0) < ALPHA_KL_CROSSOVER:
         return kl(p, q)
     if abs(alpha) < ALPHA_KL_CROSSOVER:
         raise DegenerateSupportError("renyi index alpha = 0 is not supported")
     p, q = _check_pair(p, q)
-    total = np.sum(p**alpha * q ** (1.0 - alpha), axis=-1)
-    return _float_or_stack(np.log(total) / (alpha * (alpha - 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by `far` below
+        total = np.sum(p**alpha * q ** (1.0 - alpha), axis=-1)
+    far = ~((0.0 < total) & (total < np.inf))
+    value = np.log(np.where(far, 1.0, total)) / (alpha * (alpha - 1.0))
+    if far.any():
+        logs = np.log(q) + alpha * (np.log(p) - np.log(q))  # ln p^a q^(1-a)
+        value = np.where(far, _log_sum_exp(logs) / alpha / (alpha - 1.0), value)
+    return _float_or_stack(value)

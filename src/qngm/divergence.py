@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     ValidationError,
 )
-from .linalg import _dagger, _float_or_stack
+from .linalg import _dagger, _float_or_stack, _log_sum_exp
 
 RANK_EPS = 1e-12
 IMAG_TOL = 1e-10
@@ -68,21 +68,40 @@ def quantum_kl(rho_bar: np.ndarray, rho: np.ndarray):
 
 
 def standard_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float):
-    """Rescaled standard Renyi: ln Tr[rho_bar^a rho^(1-a)] / (a (a - 1))."""
+    """Rescaled standard Renyi: ln Tr[rho_bar^a rho^(1-a)] / (a (a - 1)).
+
+    Where a power passes the float range, so that the trace is not positive
+    and finite, the trace is taken in logs as the sum of its positive terms
+    wb_i^a w_j^(1-a) |<psibar_i|psi_j>|^2.
+    """
     if abs(alpha - 1.0) < petz.ALPHA_EPS:
         return quantum_kl(rho_bar, rho)
     if abs(alpha) < petz.ALPHA_EPS:
         raise NumericalError("standard Renyi index alpha = 0 is not supported")
     (wb, vb), (w, v) = _full_rank_pair(rho_bar, rho)
-    product = _spectral(vb, wb**alpha) @ _spectral(v, w ** (1.0 - alpha))
-    tr = _real(np.trace(product, axis1=-2, axis2=-1), "standard Renyi trace")
-    return _float_or_stack(np.log(tr) / (alpha * (alpha - 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by `far` below
+        product = _spectral(vb, wb**alpha) @ _spectral(v, w ** (1.0 - alpha))
+    tr = np.trace(product, axis1=-2, axis2=-1)
+    far = ~((0.0 < tr.real) & (tr.real < np.inf) & np.isfinite(tr.imag))
+    tr = _real(np.where(far, 1.0, tr), "standard Renyi trace")
+    value = np.log(tr) / (alpha * (alpha - 1.0))
+    if far.any():
+        with np.errstate(divide="ignore"):  # a zero overlap is a -inf log, which adds nothing
+            overlap = np.log(np.abs(_dagger(vb) @ v) ** 2)  # [..., i, j]
+        log_w = np.log(w)
+        logs = log_w + alpha * (np.log(wb)[..., :, None] - log_w) + overlap
+        terms = logs.reshape(*logs.shape[:-2], -1)
+        value = np.where(far, _log_sum_exp(terms) / alpha / (alpha - 1.0), value)
+    return _float_or_stack(value)
 
 
 def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float):
     """Rescaled sandwiched Renyi:
 
         ln Tr[(rho^((1-a)/2a) rho_bar rho^((1-a)/2a))^a] / (a (a - 1))
+
+    A trace that is not positive and finite, as when the power passes the
+    float range at large |a|, raises NumericalError.
     """
     if abs(alpha - 1.0) < petz.ALPHA_EPS:
         return quantum_kl(rho_bar, rho)
@@ -95,7 +114,10 @@ def sandwiched_renyi(rho_bar: np.ndarray, rho: np.ndarray, alpha: float):
     sigma = np.linalg.svd(bread @ _spectral(vb, np.sqrt(wb)), compute_uv=False)
     if (sigma[..., -1] <= 0.0).any():
         raise RankDeficientError("sandwiched core is not positive definite")
-    tr = np.sum(sigma ** (2.0 * alpha), axis=-1)
+    with np.errstate(over="ignore"):  # refused below
+        tr = np.sum(sigma ** (2.0 * alpha), axis=-1)
+    if not ((0.0 < tr) & (tr < np.inf)).all():
+        raise NumericalError(f"sandwiched Renyi trace at alpha = {alpha} is not in (0, inf)")
     return _float_or_stack(np.log(tr) / (alpha * (alpha - 1.0)))
 
 
@@ -143,13 +165,18 @@ def f_divergence_consistency(alpha: float) -> float:
     """Max violation of F(t) + t F(1/t) = (1 - t)^2 / f(t) over ``petz.default_grid()``.
 
     F is the alpha-divergence kernel; f is the standard-family Petz function
-    at the reparameterized index (1 + alpha) / 2.
+    at the reparameterized index (1 + alpha) / 2.  The violation is
+    absolute, so it grows with the size of the sides at large |alpha|.
+    Raises DomainError if either side is not finite on the grid.
     """
     grid = petz.default_grid()
     F = alpha_divergence_F(alpha)
     f = petz.standard((1.0 + alpha) / 2.0)
-    lhs = F(grid) + grid * F(1.0 / grid)
-    rhs = (1.0 - grid) ** 2 / petz.evaluate(f, grid)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        lhs = F(grid) + grid * F(1.0 / grid)
+        rhs = (1.0 - grid) ** 2 / petz.evaluate(f, grid)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise DomainError(f"alpha = {alpha}: a side of the F-divergence identity is not finite")
     return float(np.abs(lhs - rhs).max())
 
 

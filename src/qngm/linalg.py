@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, ShapeMismatchError, SingularError
+from .errors import NotHermitianError, NumericalError, ShapeMismatchError, SingularError
 
 HERMITIAN_TOL = 1e-10
 
@@ -30,6 +30,18 @@ def _identity(dim: int, dtype=float) -> np.ndarray:
 def _float_or_stack(x):
     """A float for a 0-d result, the array itself for a stack."""
     return float(x) if np.ndim(x) == 0 else x
+
+
+def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """ln sum exp(logs) over the last axis, with the largest term factored out.
+
+    A -inf term adds nothing.  A largest term that is not finite, as when a
+    power's index passes the float range, raises NumericalError.
+    """
+    top = logs.max(axis=-1)
+    if not np.isfinite(top).all():
+        raise NumericalError("the log of a sum is not finite: a log-term passed the float range")
+    return top + np.log(np.sum(np.exp(logs - top[..., None]), axis=-1))
 
 
 def _dagger(M: np.ndarray) -> np.ndarray:

@@ -121,8 +121,9 @@ def _eval_st(alpha, t, u):
         num = alpha * (1.0 - alpha) * np.expm1(u) ** 2
         den = np.expm1(alpha * u) * np.expm1((1.0 - alpha) * u)
         out = num / den
-        far = ~np.isfinite(out)
-        if far.any():  # a factor passed the float range: take the value from logs
+        # a factor past the float range makes num / den inf, nan or a spurious 0
+        far = ~(np.isfinite(num) & np.isfinite(den))
+        if far.any():  # take the value from logs
             out[far] = _st_from_logs(np.broadcast_to(alpha, out.shape)[far], u[far])
     return out
 

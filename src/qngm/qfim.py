@@ -13,10 +13,11 @@ vanishing numerators and are skipped.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -306,14 +307,106 @@ class ProbeResult:
     witness: Optional[Witness]
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words
+_MASK32 = 0xFFFFFFFF
+_POOL = 4  # pool words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash constant that takes entropy in
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the one that generate_state reads out with
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _powers(init: int, mult: int, n: int) -> List[int]:
+    """The hash constant before each of n - 1 steps and after the last: init mult^k mod 2^32."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+# generate_state's constants for its 8 output words, 4 as uint64
+_STATE_STEPS = np.array(_powers(_INIT_B, _MULT_B, 2 * _POOL + 1), dtype=np.uint64)
+
+
+def _hashmix(value, c, c_next):
+    """Hash a word with constant c, which steps to c_next; Python ints or uint64 arrays."""
+    value = (value ^ c) * c_next & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    """Mix hashed word y into pool word x; Python ints or uint64 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _seed_states(seed: int, start: int, count: int) -> np.ndarray:
+    """``SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)``, (count, 4).
+
+    Row n is for i = start + n, with i < 2^64.  The seed's words, padded
+    with zeros to the pool size, are mixed into the pool once, as Python
+    ints.  The spawn key's words (one for i < 2^32, two above) and the
+    eight output words then run as arrays over the chunk: each 32-bit word
+    is held in a uint64 and masked after every product, which gives the
+    wrap mod 2^32 of numpy's C.  A hash constant depends only on its step's
+    position, so every member shares them.
+    """
+    seed = int(seed)
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (_POOL - len(entropy))
+    # 4 steps per entropy word take the seed in, then 4 per spawn-key word
+    consts = _powers(_INIT_A, _MULT_A, _POOL * len(entropy) + 2 * _POOL + 1)
+    steps = zip(consts, consts[1:])
+    pool = [_hashmix(word, *next(steps)) for word in entropy[:_POOL]]
+    for src in range(_POOL):  # every pool word into every other
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
+    for word in entropy[_POOL:]:
+        pool = [_mix(x, _hashmix(word, *next(steps))) for x in pool]
+
+    spawn = np.array(consts[-2 * _POOL - 1 :], dtype=np.uint64)
+    index = np.uint64(start) + np.arange(count, dtype=np.uint64)
+    low = (index & _MASK32)[:, None]
+    pool = _mix(np.array(pool, dtype=np.uint64), _hashmix(low, spawn[:4], spawn[1:5]))
+    two = slice(max(0, _MASK32 + 1 - start), None)  # the members with i >= 2^32
+    high = (index[two] >> 32)[:, None]
+    if len(high):
+        pool[two] = _mix(pool[two], _hashmix(high, spawn[4:8], spawn[5:]))
+    words = _hashmix(np.tile(pool, 2), _STATE_STEPS[:-1], _STATE_STEPS[1:])  # the pool, read twice
+    return words[:, 0::2] + words[:, 1::2] * (_MASK32 + 1)  # little-endian pairs of 32-bit words
+
+
+@functools.cache
+def _given_state() -> type:
+    """A seed sequence that hands over state words computed in advance.
+
+    PCG64 asks its seed sequence for ``generate_state(4, np.uint64)`` and
+    seeds itself from them.  The class is made on first use, so that
+    ``import qngm`` does not import ``numpy.random``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return GivenState
+
+
 def _draw_chunk(seed: int, start: int, count: int):
     """Probe triples start ... start + count - 1, each a function of (seed, index) alone.
 
-    Each triple has its own generator, seeded by (seed, index), which makes
-    the raw draws of ``random_density`` and ``random_tangent`` at dim 2 and
-    then picks a channel: depolarizing, amplitude damping or Haar random
-    (two operators), one in three each.  The arithmetic then runs once on
-    the stack, grouped by channel kind.  Returns rho (n, 2, 2), X (n, 2, 2),
+    Each triple has its own generator, seeded as by
+    ``SeedSequence(entropy=seed, spawn_key=(index,))``: ``_seed_states``
+    hashes the chunk's state words in one pass, and each generator is made
+    from its words.  The generator makes the raw draws of
+    ``random_density`` and ``random_tangent`` at dim 2 and then picks a
+    channel: depolarizing, amplitude damping or Haar random (two
+    operators), one in three each.  The arithmetic then runs once on the
+    stack, grouped by channel kind.  Returns rho (n, 2, 2), X (n, 2, 2),
     the Kraus stack (n, 4, 2, 2), padded with zero operators, and each
     member's operator count (n,).
     """
@@ -321,14 +414,15 @@ def _draw_chunk(seed: int, start: int, count: int):
     kinds = np.empty(count, dtype=int)
     params = np.zeros(count)  # the depolarizing or damping parameter
     haar = np.zeros((count, 2, 4, 2))  # (re, im) x (4, 2)
-    for n in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(start + n,)))
+    given = _given_state()
+    for n, words in enumerate(_seed_states(seed, start, count)):
+        rng = np.random.default_rng(given(words))
         gauss[n] = rng.normal(size=(2, 2, 2, 2))
-        kinds[n] = rng.integers(0, 3)
-        if kinds[n] == 2:
+        kinds[n] = kind = rng.integers(0, 3)
+        if kind == 2:
             haar[n] = rng.normal(size=(2, 4, 2))
         else:
-            params[n] = rng.uniform(0.0, 1.0)
+            params[n] = rng.random()  # rng.uniform(0.0, 1.0), bit for bit: 0 + 1 * random()
     a = _complex(gauss)
     depolarizing, damping, isometry = (kinds == kind for kind in range(3))
     kraus = np.zeros((count, 4, 2, 2), dtype=complex)
@@ -339,25 +433,55 @@ def _draw_chunk(seed: int, start: int, count: int):
 
 
 def _contraction(f: petz.PetzFunction, rho: np.ndarray, x: np.ndarray, kraus: np.ndarray):
-    """g(X, X) at rho and at the channel's output, for stacks of triples."""
+    """g(X, X) at rho and at the channel's output, for a stack of triples: (before, after).
+
+    One stacked metric call serves both sides; each value has the bits of
+    its own single call.
+    """
     x = x[:, None]
-    before = metric(rho, x, f)[:, 0, 0]
-    after = metric(*apply_channel(kraus, rho, x), f)[:, 0, 0]
-    return zip(before, after)
+    rho_out, pushed = apply_channel(kraus, rho, x)
+    g = metric(np.concatenate([rho, rho_out]), np.concatenate([x, pushed]), f)[:, 0, 0]
+    return g[: len(rho)], g[len(rho) :]
 
 
-def _chunk_witnesses(f: petz.PetzFunction, seed: int, start: int) -> Iterator[Witness]:
-    """Probe triples start ... start + _CHUNK - 1 with their metric values."""
-    rho, x, kraus, counts = _draw_chunk(seed, start, _CHUNK)
-    try:
-        values = _contraction(f, rho, x, kraus)
-    except QngmError:  # replay one member at a time, up to the one that fails
-        values = (
-            next(_contraction(f, rho[n : n + 1], x[n : n + 1], kraus[n : n + 1]))
-            for n in range(_CHUNK)
-        )
-    for n, (before, after) in enumerate(values):
-        yield Witness(start + n, rho[n], x[n], list(kraus[n, : counts[n]]), before, after)
+class _Chunk(NamedTuple):
+    """Probe triples start ... start + len(rho) - 1 with g(X, X) before and after the channel.
+
+    rho, tangent, kraus and counts are as ``_draw_chunk`` returns them.
+    """
+
+    start: int
+    rho: np.ndarray
+    tangent: np.ndarray
+    kraus: np.ndarray
+    counts: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+
+    def witness(self, n: int) -> Witness:
+        kraus = list(self.kraus[n, : self.counts[n]])
+        rho, tangent, before, after = self.rho[n], self.tangent[n], self.before[n], self.after[n]
+        return Witness(self.start + n, rho, tangent, kraus, before, after)
+
+
+def _chunks(f: petz.PetzFunction, seed: int, stop: Optional[int]) -> Iterator[_Chunk]:
+    """Probe triples 0 ... stop - 1 (endless for None), evaluated ``_CHUNK`` at a time.
+
+    If a chunk's stacked evaluation fails, its triples are replayed one at
+    a time, each as a chunk of one, so the first failing triple raises
+    after every triple before it is yielded, as by a triple-at-a-time loop.
+    """
+    starts = itertools.count(0, _CHUNK) if stop is None else range(0, stop, _CHUNK)
+    for start in starts:
+        draws = _draw_chunk(seed, start, _CHUNK if stop is None else min(_CHUNK, stop - start))
+        try:
+            values = _contraction(f, *draws[:3])
+        except QngmError:  # replay one triple at a time, up to the one that fails
+            for n in range(len(draws[0])):
+                one = [a[n : n + 1] for a in draws]
+                yield _Chunk(start + n, *one, *_contraction(f, *one[:3]))
+        else:
+            yield _Chunk(start, *draws, *values)
 
 
 def _require_count(name: str, value, least: int) -> None:
@@ -368,17 +492,18 @@ def _require_count(name: str, value, least: int) -> None:
 def probe_triples(f: petz.PetzFunction, seed: int) -> Iterator[Witness]:
     """Endless random qubit (state, tangent, channel) triples; triple i depends on (seed, i) only.
 
-    Triples are drawn ``_CHUNK`` at a time by ``_draw_chunk`` and evaluated
-    with one stacked metric before the channel, one ``apply_channel`` over
-    the zero-padded Kraus stack and one stacked metric after it.  If a
-    chunk fails, its triples are replayed one at a time from the same
-    arrays, so every triple before the failing one is still yielded, as by
-    a triple-at-a-time loop.  A seed that is not an integer >= 0 raises
-    ValidationError before any draw.
+    Triples are drawn ``_CHUNK`` at a time by ``_draw_chunk``, which seeds
+    each triple's generator from one vectorised hash of the chunk's seed
+    words.  They are evaluated with one ``apply_channel`` over the
+    zero-padded Kraus stack and one stacked metric call on the states
+    before and after the channel.  If a chunk fails, its triples are
+    replayed one at a time from the same arrays, so every triple before the
+    failing one is still yielded, as by a triple-at-a-time loop.  A seed
+    that is not an integer >= 0 raises ValidationError before any draw.
     """
     _require_count("seed", seed, 0)
-    chunks = (_chunk_witnesses(f, seed, start) for start in itertools.count(0, _CHUNK))
-    return itertools.chain.from_iterable(chunks)
+    chunks = _chunks(f, seed, None)
+    return (chunk.witness(n) for chunk in chunks for n in range(len(chunk.rho)))
 
 
 def monotonicity_probe(f: petz.PetzFunction, samples: int, seed: int) -> ProbeResult:
@@ -386,11 +511,20 @@ def monotonicity_probe(f: petz.PetzFunction, samples: int, seed: int) -> ProbeRe
 
     A monotone metric satisfies g_rho(X, X) >= g_channel(rho)(X', X'); the
     probe reports the largest observed difference (after - before) together
-    with the witnessing triple when it is positive.  ``samples`` must be an
-    integer >= 1 and ``seed`` one >= 0, or ValidationError is raised before
-    any draw.
+    with the witnessing triple when it is positive.  The triples are those
+    of ``probe_triples``, drawn only up to ``samples``; each chunk's
+    differences are reduced with ``argmax``, and only the winning triple, the
+    first of equal maxima, becomes a ``Witness``.  A triple that fails
+    raises as in the triple-at-a-time loop, and one past ``samples`` is
+    never drawn.  ``samples`` must be an integer >= 1 and ``seed`` one >= 0,
+    or ValidationError is raised before any draw.
     """
     _require_count("samples", samples, 1)
-    triples = itertools.islice(probe_triples(f, seed), samples)
-    worst = max(triples, key=lambda t: t.violation)  # the first of equal maxima
+    _require_count("seed", seed, 0)
+    worst = None
+    for chunk in _chunks(f, seed, samples):
+        violation = chunk.after - chunk.before
+        n = int(np.argmax(violation))  # the first of equal maxima
+        if worst is None or violation[n] > worst.violation:
+            worst = chunk.witness(n)
     return ProbeResult(float(worst.violation), worst if worst.violation > 0.0 else None)

@@ -421,6 +421,15 @@ def test_module_run_prints_nothing_on_stderr():
     assert result.stderr == ""
 
 
+def test_importing_the_package_leaves_numpy_random_unimported():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = "import sys, qngm, qngm.cli; print('numpy.random' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
+
+
 def test_witness_is_found_for_seeds_0_to_49():
     for seed in range(50):
         witness = cli.first_witness(seed)

@@ -290,3 +290,22 @@ def test_the_anchor_is_one_state_and_every_member_is_checked():
     for name in ("quantum_kl", "standard_renyi", "sandwiched_renyi", "f_divergence"):
         with pytest.raises(RankDeficientError):
             _stacked_divergences(0.5)[name](np.stack([rho, pure]), rho)
+
+
+@pytest.mark.parametrize(
+    "renyi",
+    [
+        classical.renyi,
+        lambda p, q, a: divergence.standard_renyi(p[..., None] * np.eye(2), np.diag(q), a),
+    ],
+    ids=["classical", "standard"],
+)
+def test_a_renyi_sum_past_the_float_range_is_taken_in_logs(renyi):
+    # the first member's sum overflows at alpha = 1000, the second's does not; values frozen
+    # with a 40-digit mpmath sum
+    p, q = np.array([[0.5, 0.5], [0.31, 0.69]]), np.array([0.3, 0.7])
+    stack = renyi(p, q, 1000.0)
+    want = [5.1013178274440919338e-4, 3.1617467486151115446e-5]
+    np.testing.assert_allclose(stack, want, rtol=1e-12)
+    for member, value in zip(p, stack):
+        assert np.float64(renyi(member, q, 1000.0)).tobytes() == value.tobytes()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qngm
-from qngm import cli, divergence, errors, optimizer, petz, states
+from qngm import classical, cli, divergence, errors, optimizer, petz, states
 from qngm.errors import DomainError, NumericalError, QngmError
 
 SOURCE = pathlib.Path(qngm.__file__).parent
@@ -60,6 +60,30 @@ def _steps_1e300_lr():
     return dtheta
 
 
+# rescaled Renyi divergence of P_FAR from Q_FAR, frozen with a 40-digit mpmath sum
+P_FAR, Q_FAR = np.array([0.5, 0.5]), np.array([0.3, 0.7])
+RENYI_FAR = {
+    1000.0: 5.1013178274440919338e-4,
+    1e4: 5.1075630211576970358e-5,
+    1e300: 5.1082562376599072021e-301,
+    -1e300: 3.3647223662121286706e-301,
+}
+
+
+def _classical_far(alpha):
+    return classical.renyi(P_FAR, Q_FAR, alpha)
+
+
+def _standard_far(alpha):
+    return divergence.standard_renyi(np.diag(P_FAR), np.diag(Q_FAR), alpha)
+
+
+def _renyi_far(fn, alpha):
+    value = fn(alpha)
+    assert value == pytest.approx(RENYI_FAR[alpha], rel=1e-12, abs=0.0)
+    return value
+
+
 THETA_BAD = ([np.inf, 0.0, 0.0], [0.0, np.nan, 0.0], [[0.0, 0.0, 0.0], [0.0, 0.0, -np.inf]])
 
 # (call, the QngmError it raises or None for finite values)
@@ -104,6 +128,27 @@ EXTREMES = [
     pytest.param(
         lambda: divergence.f_divergence_consistency(1e200), DomainError, id="f_divergence-1e200"
     ),
+    *[
+        pytest.param(
+            lambda a=a: divergence.f_divergence_consistency(a),
+            DomainError,
+            id=f"f_divergence-{a:g}",
+        )
+        for a in (1000.0, -1000.0)
+    ],
+    *[
+        pytest.param(lambda a=a, fn=fn: _renyi_far(fn, a), None, id=f"{name}-{a:g}")
+        for name, fn in (("renyi", _classical_far), ("standard_renyi", _standard_far))
+        for a in RENYI_FAR
+    ],
+    *[
+        pytest.param(
+            lambda a=a: divergence.sandwiched_renyi(np.diag(P_FAR), np.diag(Q_FAR), a),
+            NumericalError,
+            id=f"sandwiched_renyi-{a:g}",
+        )
+        for a in (1e4, 1e300, -1e300)
+    ],
 ]
 
 

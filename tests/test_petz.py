@@ -9,6 +9,14 @@ from qngm.errors import DomainError, ParseError, ShapeMismatchError
 
 GRID = petz.default_grid()
 
+# frozen with a 40-digit mpmath evaluation of a (1 - a) (t - 1)^2 / ((t^a - 1) (t^(1-a) - 1))
+ST_PAST_AN_OVERFLOWED_FACTOR = [
+    (3.0, 1e103, 5.9999999999999999885e-103),
+    (-3.0, 1e100, 1.1999999999999999618e-199),
+    (7.5, 1e50, 4.8749999999999979543e-274),
+    (50.0, 1.6e6, 3.9030703034320548743e-295),
+]
+
 REGISTRY = [
     petz.SLD,
     petz.BKM,
@@ -413,3 +421,10 @@ def test_check_conditions_calls_any_callable_once():
         separate_conditions(lambda t: t**2, GRID)
     )
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("alpha, t, value", ST_PAST_AN_OVERFLOWED_FACTOR)
+def test_st_is_not_zeroed_by_an_overflowed_denominator(alpha, t, value):
+    got = petz.evaluate(petz.standard(alpha), np.array([t, 2.0]))  # one overflowing point in two
+    assert got[0] == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert got[1] == petz.evaluate(petz.standard(alpha), 2.0)

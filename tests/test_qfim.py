@@ -601,6 +601,7 @@ def triple_by_hand(seed, index):
     st.integers(1, 40),
 )
 @example(seed=7, start=150, count=40)
+@example(seed=3, start=2**32 - 30, count=40)  # spawn keys of one word, then of two
 def test_each_chunk_member_is_its_own_triple(seed, start, count):
     rho, x, kraus, counts = qfim._draw_chunk(seed, start, count)
     assert rho.shape == x.shape == (count, 2, 2)
@@ -612,6 +613,22 @@ def test_each_chunk_member_is_its_own_triple(seed, start, count):
         assert counts[n] == len(want_kraus)
         assert kraus[n, : counts[n]].tobytes() == np.stack(want_kraus).tobytes()
         assert not kraus[n, counts[n] :].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**256 - 1),
+    st.one_of(st.integers(0, 2**40), st.integers(2**32 - 60, 2**32 + 5), st.integers(2**64 - 120, 2**64 - 61)),
+    st.integers(1, 60),
+)
+@example(seed=10**40, start=2**32 - 30, count=60)
+@example(seed=0, start=0, count=1)
+def test_seed_states_are_numpy_seed_sequence_states(seed, start, count):
+    words = qfim._seed_states(seed, start, count)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for n in range(count):
+        sequence = np.random.SeedSequence(entropy=seed, spawn_key=(start + n,))
+        assert words[n].tobytes() == sequence.generate_state(4, np.uint64).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -659,21 +676,61 @@ def test_chunked_probe_matches_the_triple_loop(spec):
         assert (got.before, got.after) == (want.before, want.after)
 
 
-def test_probe_yields_every_triple_before_a_failing_one(monkeypatch):
-    draw = qfim._draw_chunk
-
-    def pure_at_150(seed, start, count):
+def _pure_at_150(draw):
+    def draw_with_a_pure_state(seed, start, count):
         rho, x, kraus, counts = draw(seed, start, count)
         if start <= 150 < start + count:
             rho[150 - start] = states.bloch_state(0.0, 0.0, 1.0)
         return rho, x, kraus, counts
 
-    monkeypatch.setattr(qfim, "_draw_chunk", pure_at_150)
+    return draw_with_a_pure_state
+
+
+def test_probe_yields_every_triple_before_a_failing_one(monkeypatch):
+    monkeypatch.setattr(qfim, "_draw_chunk", _pure_at_150(qfim._draw_chunk))
     triples = qfim.probe_triples(petz.BKM, 7)  # f(0) = 0: the pure state fails
     for got, want in zip(itertools.islice(triples, 150), loop_probe_triples(petz.BKM, 7)):
         assert (got.index, got.before, got.after) == (want.index, want.before, want.after)
     with pytest.raises(MetricUndefinedError):
         next(triples)
+
+
+def _loop_probe(f, samples, seed):
+    """The former monotonicity_probe: the first of equal maxima over the triple loop."""
+    worst = max(itertools.islice(loop_probe_triples(f, seed), samples), key=lambda t: t.violation)
+    return worst.violation, worst
+
+
+def _assert_same_witness(got, want):
+    assert got.index == want.index
+    assert got.rho.tobytes() == want.rho.tobytes()
+    assert got.tangent.tobytes() == want.tangent.tobytes()
+    assert np.stack(got.kraus).tobytes() == np.stack(want.kraus).tobytes()
+    assert (got.before, got.after) == (want.before, want.after)
+
+
+@pytest.mark.parametrize("spec, seed", [("sld", 7), ("sw:0.25", 2)])  # sw:0.25 grows at 10
+@pytest.mark.parametrize("samples", [1, 99, 100, 101, 250])
+def test_monotonicity_probe_matches_the_triple_loop(spec, seed, samples):
+    f = petz.parse(spec)
+    got = qfim.monotonicity_probe(f, samples, seed)
+    violation, worst = _loop_probe(f, samples, seed)
+    assert np.float64(got.max_violation).tobytes() == np.float64(violation).tobytes()
+    if violation > 0.0:
+        _assert_same_witness(got.witness, worst)
+    else:
+        assert got.witness is None
+
+
+def test_probe_raises_only_on_a_failing_triple_it_samples(monkeypatch):
+    monkeypatch.setattr(qfim, "_draw_chunk", _pure_at_150(qfim._draw_chunk))
+    got = qfim.monotonicity_probe(petz.BKM, 150, 7)  # f(0) = 0: the pure state fails
+    violation, worst = _loop_probe(petz.BKM, 150, 7)
+    assert np.float64(got.max_violation).tobytes() == np.float64(violation).tobytes()
+    if violation > 0.0:
+        _assert_same_witness(got.witness, worst)
+    with pytest.raises(MetricUndefinedError):
+        qfim.monotonicity_probe(petz.BKM, 151, 7)
 
 
 @pytest.mark.parametrize(
